@@ -17,6 +17,7 @@ from .errors import (
     FlagViolation,
     HypothesisViolated,
     Infeasible,
+    InternalError,
     LimitExceeded,
     MalformedPartition,
     MathConditionError,

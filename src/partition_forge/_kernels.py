@@ -7,7 +7,8 @@ assignments, and all pairs of subsets for property validation.  Set
 functions are materialized as ``int64`` tables indexed by mask before a
 kernel runs, so the kernels see only integer arrays.
 
-The kernels are compiled with numba when it is importable.  Set
+The kernels are compiled with numba when it is importable (the optional
+extra ``partition-forge[numba]``); otherwise they run as written.  Set
 ``PARTITION_FORGE_NO_NUMBA=1`` to force the plain NumPy/Python
 implementations instead (the ``py_*`` names are always available,
 regardless of the flag; ``benchmarks/bench_kernels.py`` compares the two
@@ -298,7 +299,7 @@ _FORCE_PY = os.environ.get("PARTITION_FORGE_NO_NUMBA", "") not in ("", "0")
 if not _FORCE_PY:
     try:
         from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is the optional extra ``partition-forge[numba]``
         njit = None
 else:
     njit = None

@@ -5,7 +5,8 @@ Hosts and set functions travel as JSON files; rationals on the wire are
 with ``--format json`` (byte-identical for identical jobs) or as plain
 text lines.  Exit codes: 0 success, 2 a mathematical condition or
 hypothesis failed (the witness is in the report), 3 parse or validation
-error, 4 a size limit was exceeded.
+error, 4 a size limit was exceeded, 5 a result failed its internal
+re-verification (a bug, not a property of the input).
 """
 
 import argparse
@@ -17,6 +18,7 @@ from . import limits as limits_mod
 from .bits import bit_list, mask_of
 from .decompose import decompose_pc, pack_trees_pc
 from .errors import (
+    InternalError,
     LimitExceeded,
     MathConditionError,
     PartitionForgeError,
@@ -477,6 +479,11 @@ def main(argv=None):
                "error": {"kind": "limit-exceeded", "message": str(exc)}},
               fmt, sys.stdout)
         return 4
+    except InternalError as exc:
+        _emit({"schema": SCHEMA, "command": args.command,
+               "error": {"kind": "internal", "message": str(exc)}},
+              fmt, sys.stdout)
+        return 5
     except MathConditionError as exc:
         payload = {"kind": exc.kind, "message": str(exc)}
         payload.update(exc.witness_payload())

@@ -1,11 +1,19 @@
 """Packing edge-disjoint sparse/partition-connected spanning subgraphs.
 
 The central object is a family of pairwise edge-disjoint parts, part i
-being l_i-sparse.  A maximum family is found either by an exhaustive
-edge-assignment oracle (small instances) or by greedy insertion plus a
-breadth-first search over edge replacements; the closure of replacement
-moves also yields the witness partition that certifies maximality, whose
-defining properties are re-verified before it is returned.
+being l_i-sparse.  Each l_i-sparse edge set is independent in a count
+matroid, so a maximum family is a matroid partition (J. Edmonds, 1965).
+Greedy insertion starts it; shortest augmenting paths in the exchange
+graph on edges then grow it to the optimum.  Independence is one
+comparison of a part's inside-count table with the slack table, and the
+circuit an edge closes in a part is the part's edges inside the minimal
+tight set containing it (:func:`~partition_forge.sparse.min_pc_subgraph`).
+When no augmenting path is left, the vertex components of the edges the
+search reached form the witness partition that certifies maximality; its
+defining properties are re-verified before it is returned.  On instances
+small enough for the exhaustive edge-assignment oracle, ``method="auto"``
+returns the oracle's lexicographically first maximum family, a canonical
+tie-break among the many maximum families.
 
 A host is (l_1+...+l_m)-partition-connected exactly when it decomposes
 into m edge-disjoint spanning parts, part i being l_i-partition-connected
@@ -22,10 +30,11 @@ from .bits import bit_list
 from .errors import (
     FamilyNotMaximal,
     HypothesisViolated,
+    InternalError,
     NotPartitionConnected,
     ValidationError,
 )
-from .hosts import EdgeSubset, Partition, spanning_host
+from .hosts import EdgeSubset, Partition, induced_host, spanning_host
 from .limits import ASSIGNMENT_ORACLE_STATES
 from .setfn import ensure_properties, fn_sum, vertex_bulk, vertex_weights
 from .sparse import basis_size, min_pc_subgraph
@@ -78,11 +87,6 @@ class Decomposition:
         return f"Decomposition({[list(p.indices()) for p in self.parts]})"
 
 
-def _sparse_ok(host, members, slack):
-    ems = _kernels.as_mask_array(host.edge_masks[i] for i in sorted(members))
-    return _kernels.sparse_violation(host.n, ems, slack) < 0
-
-
 def _part_is_pc(host, members, l):
     sub = spanning_host(host, members)
     return pc_violation(sub, l, trust_flags=True) is None
@@ -106,120 +110,104 @@ def assignment_optimum(host, functions, *, cap=None):
     return int(best), SparseFamily(host, parts, functions)
 
 
-def _closure(host, functions, start_assignment, *, augment):
-    """Breadth-first search over single edge replacements.
+def _augment(host, functions, owner):
+    """One breadth-first search of the exchange graph on edges.
 
-    States are full part assignments.  With ``augment`` the search stops
-    at the first state where an uncovered edge inserts directly into some
-    part and returns the improved assignment; otherwise it exhausts the
-    closure and returns the union of uncovered edge sets over all states.
+    ``owner[e]`` is the part holding edge e, ``len(functions)`` when e is
+    uncovered; the search starts from the uncovered edges.  An edge e
+    moves straight into a part i not holding it when part i plus e stays
+    sparse; otherwise it may replace any edge of part i inside the
+    minimal tight set of part i that contains e (the circuit e closes).
+    The first straight move ends a shortest augmenting path, which is
+    applied to ``owner`` in place, and None is returned.  Without a path,
+    returns the set of edges the search reached.
     """
     m = len(functions)
+    ems = host.edge_masks
+    masks = np.arange(1 << host.n, dtype=np.int64)
     slacks = [l.slack_table(host.n) for l in functions]
-    seen = {start_assignment}
-    queue = deque([start_assignment])
-    uncovered_union = set()
+    members = [[e for e in range(host.edge_count) if owner[e] == i] for i in range(m)]
+    counts = [
+        _kernels.count_inside(host.n, _kernels.as_mask_array(ems[f] for f in part))
+        for part in members
+    ]
+    parent = {e: None for e in range(host.edge_count) if owner[e] == m}
+    queue = deque(parent)
     while queue:
-        assignment = queue.popleft()
-        parts = [
-            frozenset(e for e in range(host.edge_count) if assignment[e] == i)
-            for i in range(m)
-        ]
-        uncovered = [e for e in range(host.edge_count) if assignment[e] == m]
-        uncovered_union.update(uncovered)
-        for e in uncovered:
-            for i in range(m):
-                if _sparse_ok(host, parts[i] | {e}, slacks[i]):
-                    if augment:
-                        new = list(assignment)
-                        new[e] = i
-                        return tuple(new), None
-                    continue
-                # e closes a circuit in part i: swap it with any edge of the
-                # minimal partition-connected subgraph spanning e's vertices.
-                q = min_pc_subgraph(
-                    EdgeSubset(host, parts[i]),
-                    functions[i],
-                    host.edge_masks[e],
-                    require_sparse=False,
-                )
-                inside = [
-                    f
-                    for f in sorted(parts[i])
-                    if host.edge_masks[f] & ~q.vertices == 0
-                ]
-                for f in inside:
-                    new = list(assignment)
-                    new[e] = i
-                    new[f] = m
-                    key = tuple(new)
-                    if key not in seen:
-                        seen.add(key)
-                        queue.append(key)
-    return None, frozenset(uncovered_union)
-
-
-def _greedy_family(host, functions):
-    m = len(functions)
-    slacks = [l.slack_table(host.n) for l in functions]
-    parts = [set() for _ in range(m)]
-    for e in range(host.edge_count):
+        e = queue.popleft()
+        inside_e = (masks & ems[e]) == ems[e]
         for i in range(m):
-            if _sparse_ok(host, parts[i] | {e}, slacks[i]):
-                parts[i].add(e)
+            if owner[e] == i:
+                continue
+            if np.all(counts[i] + inside_e <= slacks[i]):
+                while e is not None:
+                    owner[e], i = i, owner[e]
+                    e = parent[e]
+                return None
+            tight = min_pc_subgraph(
+                EdgeSubset(host, members[i]), functions[i], ems[e], trust_flags=True
+            ).vertices
+            for f in members[i]:
+                if f not in parent and ems[f] & ~tight == 0:
+                    parent[f] = e
+                    queue.append(f)
+    return frozenset(parent)
+
+
+def _greedy_owner(host, functions):
+    """Each edge, in index order, joins the first part it keeps sparse."""
+    m = len(functions)
+    masks = np.arange(1 << host.n, dtype=np.int64)
+    slacks = [l.slack_table(host.n) for l in functions]
+    counts = [np.zeros(1 << host.n, dtype=np.int64) for _ in range(m)]
+    owner = [m] * host.edge_count
+    for e, em in enumerate(host.edge_masks):
+        inside_e = (masks & em) == em
+        for i in range(m):
+            if np.all(counts[i] + inside_e <= slacks[i]):
+                counts[i] += inside_e
+                owner[e] = i
                 break
-    assignment = [m] * host.edge_count
-    for i, p in enumerate(parts):
-        for e in p:
-            assignment[e] = i
-    return tuple(assignment)
+    return owner
 
 
 def max_sparse_family(host, functions, *, method="auto", trust_flags=None):
     """Family of edge-disjoint sparse parts covering as many edges as
     possible.
 
-    ``method="oracle"`` forces the exhaustive assignment search,
-    ``method="augment"`` the replacement search; ``"auto"`` picks the
-    oracle below a state-count threshold.
+    ``method="oracle"`` forces the exhaustive assignment search and
+    ``method="augment"`` runs greedy insertion plus augmenting paths.
+    ``"auto"`` augments too, then hands the known optimum to the oracle
+    when its state count is below a threshold, so small instances get the
+    oracle's lexicographically first maximum family.
     """
     functions = list(functions)
     if not functions:
         raise ValidationError("need at least one set function")
     for l in functions:
         ensure_properties(l, _PACK_FLAGS, host.n, trust=trust_flags)
+    if method not in ("auto", "oracle", "augment"):
+        raise ValidationError("method must be 'auto', 'oracle' or 'augment'")
     m = len(functions)
     cap = min(
         host.edge_count,
         sum(max(0, basis_size(host, l)) for l in functions),
     )
-    if method in ("auto", "augment"):
-        # Greedy insertion alone often reaches the coverage cap, which is
-        # an upper bound on any family; no search is needed then.
-        assignment = _greedy_family(host, functions)
-        if sum(1 for a in assignment if a < m) == cap:
-            parts = [
-                EdgeSubset(host, [e for e in range(host.edge_count)
-                                  if assignment[e] == i])
-                for i in range(m)
-            ]
-            return SparseFamily(host, parts, functions)
-    if method == "auto":
-        states = (m + 1) ** host.edge_count
-        method = "oracle" if states <= ASSIGNMENT_ORACLE_STATES else "augment"
     if method == "oracle":
         _, family = assignment_optimum(host, functions, cap=cap)
         return family
-    if method != "augment":
-        raise ValidationError("method must be 'auto', 'oracle' or 'augment'")
-    assignment = _greedy_family(host, functions)
-    while True:
-        improved, _ = _closure(host, functions, assignment, augment=True)
-        if improved is None:
-            break
-        assignment = improved
+    # Greedy insertion alone often reaches the coverage cap, which is an
+    # upper bound on any family; no search is needed then.
+    owner = _greedy_owner(host, functions)
+    covered = sum(1 for a in owner if a < m)
+    if covered < cap:
+        while covered < cap and _augment(host, functions, owner) is None:
+            covered += 1
+        if method == "auto" and (m + 1) ** host.edge_count <= ASSIGNMENT_ORACLE_STATES:
+            _, family = assignment_optimum(host, functions, cap=covered)
+            return family
     parts = [
-        EdgeSubset(host, [e for e in range(host.edge_count) if assignment[e] == i])
+        EdgeSubset(host, [e for e in range(host.edge_count) if owner[e] == i])
         for i in range(m)
     ]
     return SparseFamily(host, parts, functions)
@@ -228,18 +216,16 @@ def max_sparse_family(host, functions, *, method="auto", trust_flags=None):
 def witness_partition(host, family):
     """Partition certifying the family is maximum.
 
-    Blocks are the connected components of the union of uncovered edge
-    sets over the replacement closure.  Both certificate properties are
-    re-verified: no uncovered edge crosses the partition, and every part
-    induces a partition-connected piece on every block.  Together these
-    imply no larger family exists; verification failure means the family
-    was not maximum.
+    Blocks are the vertex components of the edges an augmenting-path
+    search from the uncovered edges reaches.  Both certificate properties
+    are re-verified: no uncovered edge crosses the partition, and every
+    part induces a partition-connected piece on every block.  Together
+    these imply no larger family exists; verification failure means the
+    family was not maximum.
     """
-    improved, uncovered_union = _closure(
-        host, family.functions, family.assignment(), augment=False
-    )
-    if improved is not None:
-        raise FamilyNotMaximal("an augmenting replacement sequence exists")
+    reached = _augment(host, family.functions, list(family.assignment()))
+    if reached is None:
+        raise FamilyNotMaximal("an augmenting path exists")
     parent = list(range(host.n))
 
     def find(v):
@@ -248,7 +234,7 @@ def witness_partition(host, family):
             v = parent[v]
         return v
 
-    for e in uncovered_union:
+    for e in reached:
         vs = bit_list(host.edge_masks[e])
         for v in vs[1:]:
             parent[find(v)] = find(vs[0])
@@ -265,31 +251,12 @@ def witness_partition(host, family):
     for part, l in zip(family.parts, family.functions):
         for block in partition.blocks:
             inside = [i for i in part.members if host.edge_masks[i] & ~block == 0]
-            sub, verts = _induced_with_edges(host, block, inside)
+            sub, _ = induced_host(spanning_host(host, inside), block)
             if pc_violation(sub, l, trust_flags=True) is not None:
                 raise FamilyNotMaximal(
                     "a part is not partition-connected inside a witness block"
                 )
     return partition
-
-
-def _induced_with_edges(host, block, member_indices):
-    """Induced host on a block, keeping only the listed edges."""
-    from .hosts import Hyperedge, Hypergraph, MultiGraph
-
-    verts = bit_list(block)
-    pos = {v: j for j, v in enumerate(verts)}
-    if host.is_hypergraph:
-        hes = [
-            Hyperedge(
-                (pos[v] for v in host.hyperedges[i].vertices),
-                None if host.hyperedges[i].head is None else pos[host.hyperedges[i].head],
-            )
-            for i in member_indices
-        ]
-        return Hypergraph(len(verts), hes), verts
-    edges = [(pos[host.edges[i][0]], pos[host.edges[i][1]]) for i in member_indices]
-    return MultiGraph(len(verts), edges), verts
 
 
 def decompose_pc(host, functions, *, trust_flags=None):
@@ -312,16 +279,18 @@ def decompose_pc(host, functions, *, trust_flags=None):
         )
     family = max_sparse_family(host, functions, trust_flags=True)
     for part, l in zip(family.parts, functions):
-        assert len(part) == basis_size(host, l), (
-            "a maximum family part missed its basis size on a "
-            "partition-connected host"
-        )
+        if len(part) != basis_size(host, l):
+            raise InternalError(
+                "a maximum family part missed its basis size on a "
+                "partition-connected host"
+            )
     leftovers = family.uncovered()
     parts = [
         EdgeSubset(host, set(family.parts[0].members) | set(leftovers))
     ] + [family.parts[i] for i in range(1, len(functions))]
     for part, l in zip(parts, functions):
-        assert _part_is_pc(host, part.members, l), "a part failed its recheck"
+        if not _part_is_pc(host, part.members, l):
+            raise InternalError("a part failed its recheck")
     return Decomposition(parts, covers_all=True)
 
 
@@ -369,15 +338,17 @@ def half_degree_pc(host, l, u, *, trust_flags=None):
             weights.append(ceil(degs[v] / r) - l.value(1 << v) + lg)
         else:
             weights.append(floor(degs[v] / r) - l.value(1 << v))
-    assert all(w >= 0 for w in weights), "edge-connectivity check left a negative weight"
+    if any(w < 0 for w in weights):
+        raise InternalError("edge-connectivity check left a negative weight")
     ell = vertex_weights(weights)
     dec = decompose_pc(host, [l, ell], trust_flags=True)
     h = dec.parts[0]
     hd = h.degrees()
     for v in range(host.n):
-        bound = ceil((r - 1) * degs[v] / r) + l.value(1 << v)
-        assert hd[v] <= bound, "degree bound failed"
-    assert hd[u] <= floor((r - 1) * degs[u] / r) + l.value(1 << u) - lg
+        if hd[v] > ceil((r - 1) * degs[v] / r) + l.value(1 << v):
+            raise InternalError("degree bound failed")
+    if hd[u] > floor((r - 1) * degs[u] / r) + l.value(1 << u) - lg:
+        raise InternalError("reduced degree bound failed at u")
     return h
 
 
@@ -412,5 +383,6 @@ def hyper_bounded(host, l, h, *, trust_flags=None):
     dec = decompose_pc(host, [l, ell], trust_flags=True)
     part = dec.parts[0]
     pd = part.degrees()
-    assert all(pd[v] <= hvals[v] for v in range(host.n)), "degree bound failed"
+    if any(pd[v] > hvals[v] for v in range(host.n)):
+        raise InternalError("degree bound failed")
     return part

@@ -1,6 +1,6 @@
 """Exception hierarchy.
 
-Three broad families, matching the CLI exit codes:
+Four broad families, matching the CLI exit codes:
 
 * ``ValidationError`` (exit 3) -- malformed inputs: bad files, bad
   partitions, set functions whose declared properties do not hold.
@@ -9,6 +9,9 @@ Three broad families, matching the CLI exit codes:
   condition is violated, ...).  These carry a machine-readable witness.
 * ``LimitExceeded`` (exit 4) -- an exhaustive search was refused because
   the instance is above the configured desk-scale limit.
+* ``InternalError`` (exit 5) -- a result failed the re-verification of
+  its defining properties before being returned.  This signals a bug in
+  the package, never a property of the input.
 """
 
 
@@ -18,6 +21,10 @@ class PartitionForgeError(Exception):
 
 class LimitExceeded(PartitionForgeError):
     """Instance exceeds a configured enumeration limit."""
+
+
+class InternalError(PartitionForgeError):
+    """A constructed result failed its own postcondition check."""
 
 
 class ValidationError(PartitionForgeError):

@@ -70,6 +70,9 @@ class SetFunction:
         self.n = n
         self.flags = flags
         self.name = name
+        # Flags that hold by construction; ensure_properties skips the
+        # exhaustive run when every needed flag is among them.
+        self._proven = frozenset()
         self._tables = {}
         self._reports = {}
 
@@ -115,9 +118,11 @@ class SetFunction:
         return all(name in self.flags for name in names)
 
     def with_flags(self, *names):
-        return SetFunction(
+        out = SetFunction(
             self._fn, n=self.n, flags=self.flags | set(names), name=self.name
         )
+        out._proven = self._proven
+        return out
 
     def __add__(self, other):
         if not isinstance(other, SetFunction):
@@ -160,7 +165,9 @@ def vertex_bulk(vertex_value, bulk_value, name=None):
         flags.add("nonnegative")
     if vv >= bb or bb <= 0:
         flags.add("positively-intersecting-supermodular")
-    return SetFunction(fn, flags=flags, name=name or f"vertex_bulk({vv},{bb})")
+    out = SetFunction(fn, flags=flags, name=name or f"vertex_bulk({vv},{bb})")
+    out._proven = out.flags
+    return out
 
 
 def constant(value):
@@ -171,8 +178,9 @@ def constant(value):
 def vertex_weights(values, name=None):
     """Per-vertex values on singletons, zero on sets of size >= 2.
 
-    With nonnegative values this family is intersecting supermodular,
-    subadditive and weakly subadditive.
+    Only with nonnegative values is this family intersecting
+    supermodular (two sets of size >= 2 can meet in one vertex); it is
+    then also subadditive and weakly subadditive.
     """
     values = tuple(int(v) for v in values)
 
@@ -184,10 +192,11 @@ def vertex_weights(values, name=None):
             return values[vs[0]]
         return 0
 
-    flags = {"intersecting-supermodular"}
+    flags = set()
     if all(v >= 0 for v in values):
         flags.update(
             (
+                "intersecting-supermodular",
                 "subadditive",
                 "weakly-subadditive",
                 "nonnegative",
@@ -195,9 +204,11 @@ def vertex_weights(values, name=None):
                 "positively-intersecting-supermodular",
             )
         )
-    return SetFunction(
+    out = SetFunction(
         fn, n=len(values), flags=flags, name=name or f"vertex_weights{values}"
     )
+    out._proven = out.flags
+    return out
 
 
 def table(n, entries, default=None, flags=()):
@@ -239,12 +250,14 @@ def fn_sum(*fns):
     def fn(mask):
         return sum(f._fn(mask) for f in fns)
 
-    return SetFunction(
+    out = SetFunction(
         fn,
         n=next(iter(arities), None),
         flags=flags,
         name="+".join(f.name for f in fns),
     )
+    out._proven = flags.intersection(*(f._proven for f in fns))
+    return out
 
 
 def scale(beta, fn):
@@ -252,12 +265,14 @@ def scale(beta, fn):
     if not isinstance(beta, int) or beta < 1:
         raise ValidationError("scale factor must be an integer >= 1")
     inner = fn._fn
-    return SetFunction(
+    out = SetFunction(
         lambda mask: beta * inner(mask),
         n=fn.n,
         flags=fn.flags,
         name=f"{beta}*{fn.name}",
     )
+    out._proven = fn._proven
+    return out
 
 
 def rooted_shift(fn, roots):
@@ -387,12 +402,13 @@ def ensure_properties(fn, needed, n, *, trust=None, limit=VALIDATE_LIMIT):
     """Require the named properties of ``fn`` over ``0..n-1``.
 
     With ``trust=True`` declared flags are believed; with ``trust=False``
-    an exhaustive validation run backs them.  The default validates when
-    the arity is within the validation limit and trusts otherwise.
+    an exhaustive validation run backs them.  The default trusts flags
+    proven by construction (the built-in families and their sums and
+    multiples) and beyond the validation limit, and validates otherwise.
     """
     needed = tuple(needed)
     if trust is None:
-        trust = n > limit
+        trust = n > limit or all(p in fn._proven for p in needed)
     if trust:
         missing = [p for p in needed if p not in fn.flags]
         if missing:

@@ -6,17 +6,15 @@ bases of a matroid; every basis has exactly ``sum l(v) - l(V)`` edges and
 is minimally l-partition-connected.
 """
 
-from itertools import combinations
-
 import numpy as np
 
 from . import _kernels
-from .bits import as_mask, bit_count, bit_list, mask_of
+from .bits import as_mask, bit_list
 from .errors import Disconnected, NotPartitionConnected, NotSparse, ValidationError
 from .hosts import EdgeSubset
 from .limits import EDGE_SEARCH_LIMIT, SUBSET_LIMIT, check
 from .setfn import ensure_properties
-from .theta import _sub_tables, pc_violation
+from .theta import pc_violation
 
 _BASE_FLAGS = ("intersecting-supermodular", "weakly-subadditive")
 
@@ -163,13 +161,16 @@ class MinPcResult:
         return f"MinPcResult({self.vertex_list()}, unique={self.unique})"
 
 
-def min_pc_subgraph(edges, l, targets, *, require_sparse=True, trust_flags=None):
+def min_pc_subgraph(edges, l, targets, *, trust_flags=None):
     """Smallest vertex set X containing the targets such that the induced
-    part of the edge set on X is l-partition-connected.
+    part of the l-sparse edge set on X is l-partition-connected.
 
-    Ties break to the lexicographically smallest set, and ``unique``
-    reports whether another minimizer of the same size exists.  Raises
-    :class:`Disconnected` when no X works.
+    For a sparse F, F[X] is partition-connected exactly when X is tight,
+    ``e_F(X) = sum_{v in X} l(v) - l(X)``, and the tight sets containing a
+    nonempty target set are closed under intersection.  The answer is the
+    intersection of all of them, so it is always ``unique``.  Raises
+    :class:`NotSparse` when the edge set is not sparse and
+    :class:`Disconnected` when no tight set contains the targets.
     """
     if not isinstance(edges, EdgeSubset):
         raise ValidationError("min_pc_subgraph expects an EdgeSubset")
@@ -177,42 +178,18 @@ def min_pc_subgraph(edges, l, targets, *, require_sparse=True, trust_flags=None)
     y = as_mask(targets, host.n)
     if y == 0:
         raise ValidationError("target vertex set must be nonempty")
-    if require_sparse:
-        bad = sparse_violation(host, edges, l, trust_flags=trust_flags)
-        if bad is not None:
-            raise NotSparse("edge set is not l-sparse", vertex_set=bad)
-    member_masks = [host.edge_masks[i] for i in edges.indices()]
-    others = [v for v in range(host.n) if not (1 << v) & y]
-    ny = bit_count(y)
-
-    def induced_pc(x_mask):
-        if bit_count(x_mask) <= 1:
-            return True
-        k, verts, _, ltab = _sub_tables(host, l, x_mask)
-        pos = {v: j for j, v in enumerate(verts)}
-        ems = _kernels.as_mask_array(
-            mask_of(pos[v] for v in bit_list(em))
-            for em in member_masks
-            if em & ~x_mask == 0
-        )
-        _, _, exceeded = _kernels.partition_scan(k, ems, ltab, ltab[-1], True)
-        return not exceeded
-
-    for extra in range(0, len(others) + 1):
-        found = None
-        unique = True
-        for combo in combinations(others, extra):
-            x = y | mask_of(combo)
-            if induced_pc(x):
-                if found is None:
-                    found = x
-                else:
-                    unique = False
-                    break
-        if found is not None:
-            return MinPcResult(found, unique)
-        _ = ny  # sizes below |Y| are impossible; extras start at 0
-    raise Disconnected("no partition-connected vertex set contains the targets")
+    ensure_properties(l, _BASE_FLAGS, host.n, trust=trust_flags)
+    check(host.n, SUBSET_LIMIT, "vertex count")
+    slack = l.slack_table(host.n)
+    counts = _kernels.count_inside(host.n, _kernels.as_mask_array(edges.masks()))
+    bad = np.nonzero(counts > slack)[0]
+    if bad.size:
+        raise NotSparse("edge set is not l-sparse", vertex_set=int(bad[0]))
+    masks = np.arange(1 << host.n, dtype=np.int64)
+    tight = masks[(counts == slack) & (masks & y == y)]
+    if not tight.size:
+        raise Disconnected("no partition-connected vertex set contains the targets")
+    return MinPcResult(int(np.bitwise_and.reduce(tight)), True)
 
 
 def e_star_table(graph, l, *, trust_flags=None):

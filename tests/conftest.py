@@ -11,7 +11,15 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from partition_forge import Hyperedge, Hypergraph, MultiGraph
+from partition_forge import (
+    Hyperedge,
+    Hypergraph,
+    MultiGraph,
+    induced_host,
+    is_pc,
+    spanning_host,
+    table,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +133,31 @@ def component_count(n, pairs):
         if uf.union(u, v):
             comps -= 1
     return comps
+
+
+def brute_min_pc(host, members, l, targets):
+    """Every smallest vertex set X containing the targets on which the
+    member edges inside X form an l-partition-connected host: a superset
+    scan in size order, ``is_pc`` on ``induced_host`` with l carried over
+    to the relabelled vertices.  Empty when no X works."""
+    spanning = spanning_host(host, members)
+    targets = sorted(set(targets))
+    others = [v for v in range(host.n) if v not in targets]
+    for extra in range(len(others) + 1):
+        found = []
+        for combo in combinations(others, extra):
+            verts = sorted(targets + list(combo))
+            sub, _ = induced_host(spanning, verts)
+            values = {
+                m: l.value(sum(1 << verts[j] for j in range(len(verts)) if m >> j & 1))
+                for m in range(1 << len(verts))
+            }
+            relabelled = table(len(verts), values, flags=("intersecting-supermodular",))
+            if is_pc(sub, relabelled, trust_flags=True):
+                found.append(verts)
+        if found:
+            return found
+    return []
 
 
 # ---------------------------------------------------------------------------

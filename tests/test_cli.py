@@ -212,6 +212,17 @@ def test_orient_command(tmp_path, files):
     assert code == 2
 
 
+def test_internal_error_exit_code(files, monkeypatch):
+    import partition_forge.decompose as decompose
+
+    monkeypatch.setattr(decompose, "_part_is_pc", lambda host, members, l: False)
+    code, out = run_cli(["decompose", "--graph", files["k4"],
+                         "--setfn", files["const1"], "--setfn", files["const1"],
+                         "--format", "json"])
+    assert code == 5
+    assert json.loads(out)["error"]["kind"] == "internal"
+
+
 def test_text_format(files):
     code, out = run_cli(["theta", "--graph", files["two"],
                          "--setfn", files["const1"]])

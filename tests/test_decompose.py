@@ -1,9 +1,12 @@
 """Packing: maximum sparse families, witness partitions, decomposition,
 tree packing, and the degree-soaking constructions."""
 
+import time
 from math import ceil, floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_forge import (
     EdgeSubset,
@@ -11,6 +14,7 @@ from partition_forge import (
     Hyperedge,
     Hypergraph,
     HypothesisViolated,
+    InternalError,
     MultiGraph,
     NotPartitionConnected,
     SparseFamily,
@@ -238,3 +242,79 @@ def test_hypergraph_packing_mirrors_graph_case(rng):
         fam = max_sparse_family(h, fns, method="augment")
         assert fam.size() == best
         witness_partition(h, fam)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_decompose_complete_graphs_fast(n):
+    g = complete_graph(n)
+    for pack in (lambda: decompose_pc(g, [L1, L1]), lambda: pack_trees_pc(g, 2, 0)):
+        start = time.perf_counter()
+        dec = pack()
+        assert time.perf_counter() - start < 1.0
+        assert dec.parts[0].members | dec.parts[1].members == frozenset(range(g.edge_count))
+        assert not dec.parts[0].members & dec.parts[1].members
+        assert all(is_pc(spanning_host(g, p.members), L1) for p in dec.parts)
+
+
+def test_decompose_k8_completes():
+    dec = decompose_pc(complete_graph(8), [L1, L1])
+    assert sum(len(p) for p in dec.parts) == 28
+
+
+def test_witness_partition_on_a_host_with_a_long_closure():
+    host = MultiGraph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0),
+                          (1, 4), (6, 0), (2, 0), (3, 6), (3, 5), (3, 1), (0, 3)])
+    fam = max_sparse_family(host, [L1, L1])
+    assert fam.size() == 12
+    assert witness_partition(host, fam).blocks_as_lists() == [[0, 1, 2, 3, 4, 5, 6]]
+
+
+@st.composite
+def packing_instances(draw):
+    n = draw(st.integers(2, 5))
+    rank = draw(st.sampled_from([2, 3])) if n >= 3 else 2
+    edges = draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=2, max_size=rank), max_size=6
+    ))
+    host = (
+        Hypergraph(n, [Hyperedge(e) for e in edges]) if rank == 3
+        else MultiGraph(n, [tuple(e) for e in edges])
+    )
+    fns = draw(st.lists(
+        st.sampled_from([L1, constant(2), vertex_bulk(1, 0)]), min_size=1, max_size=2
+    ))
+    return host, fns
+
+
+@settings(max_examples=60, deadline=None)
+@given(packing_instances())
+def test_augment_matches_oracle_and_witness_verifies(instance):
+    host, fns = instance
+    best, _ = assignment_optimum(host, fns)
+    fam = max_sparse_family(host, fns, method="augment")
+    assert fam.size() == best
+    assert all(is_sparse(host, p.members, l) for p, l in zip(fam.parts, fns))
+    witness_partition(host, fam)
+
+
+def test_auto_family_is_the_oracle_family(rng):
+    # The first instance is one where augmenting paths alone end at a
+    # different maximum family.
+    cases = [(MultiGraph(3, [(1, 2), (1, 2), (0, 2), (0, 2), (0, 2), (0, 1), (0, 2),
+                             (0, 2)]), [vertex_bulk(1, 0), constant(2)])]
+    for _ in range(25):
+        g = random_multigraph(rng, rng.randint(2, 5), rng.randint(0, 8))
+        cases.append((g, [rng.choice([L1, vertex_bulk(1, 0), constant(2)])
+                          for _ in range(rng.randint(1, 2))]))
+    for g, fns in cases:
+        best, _ = assignment_optimum(g, fns)
+        _, oracle = assignment_optimum(g, fns, cap=best)
+        assert max_sparse_family(g, fns).parts == oracle.parts
+
+
+def test_failed_recheck_raises_internal_error(monkeypatch):
+    import partition_forge.decompose as decompose
+
+    monkeypatch.setattr(decompose, "_part_is_pc", lambda host, members, l: False)
+    with pytest.raises(InternalError):
+        decompose_pc(K4, [L1, L1])

@@ -1,5 +1,7 @@
 """Set function families, combinators and exhaustive validation."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -144,6 +146,49 @@ def test_vertex_weights_flags():
     assert report.holds("intersecting-supermodular")
     assert report.holds("subadditive")
     assert not validate(vertex_weights([-1, 0, 0])).holds("nonnegative")
+
+
+def test_negative_vertex_weights_are_not_intersecting_supermodular():
+    fn = vertex_weights([-1, 0, 0])
+    assert not validate(fn).holds("intersecting-supermodular")
+    assert not fn.has_flags("intersecting-supermodular")
+    with pytest.raises(FlagViolation):
+        ensure_properties(fn, ("intersecting-supermodular",), 3)
+
+
+def test_declared_flags_of_built_ins_hold():
+    rng = random.Random(5)
+    pool = [constant(c) for c in range(-3, 4)]
+    pool += [vertex_bulk(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    pool += [
+        vertex_weights([rng.randint(-2, 2) for _ in range(rng.randint(1, 5))])
+        for _ in range(30)
+    ]
+    combos = []
+    for _ in range(60):
+        f, g = rng.choice(pool), rng.choice(pool)
+        if f.n is None or g.n is None or f.n == g.n:
+            combos.append(fn_sum(f, g))
+        combos.append(scale(rng.randint(1, 3), f))
+    for fn in pool + combos:
+        for n in range(1, 6) if fn.n is None else [fn.n]:
+            assert validate(fn, n).declared_failures(fn) == [], (fn, n)
+
+
+def test_proven_flags_skip_validation():
+    s = fn_sum(constant(1), scale(2, vertex_bulk(2, 1)))
+    ensure_properties(s, ("intersecting-supermodular", "subadditive"), 5)
+    assert 5 not in s._reports
+    # Exhaustive on request, and for flags added on trust.
+    ensure_properties(s, ("intersecting-supermodular",), 5, trust=False)
+    assert 5 in s._reports
+    claimed = vertex_bulk(1, 2).with_flags("nonincreasing")
+    with pytest.raises(FlagViolation):
+        ensure_properties(claimed, ("nonincreasing",), 3)
+    # A table's flags are never proven.
+    liar = table(2, {0: 0, 1: 5, 2: 5, 3: -1}, flags=("nonnegative",))
+    with pytest.raises(FlagViolation):
+        ensure_properties(liar, ("nonnegative",), 2)
 
 
 def test_ensure_properties_trust_and_validate():

@@ -10,6 +10,7 @@ from partition_forge import (
     EdgeSubset,
     MultiGraph,
     NotPartitionConnected,
+    NotSparse,
     basis_size,
     constant,
     e_star,
@@ -25,6 +26,7 @@ from partition_forge import (
     theta_oracle,
     theta_without,
     vertex_bulk,
+    vertex_weights,
 )
 from conftest import (
     complete_graph,
@@ -139,6 +141,41 @@ def test_min_pc_subgraph_uniqueness_flag():
     g2 = MultiGraph(3, [(0, 1), (1, 2)])
     res2 = min_pc_subgraph(EdgeSubset(g2, [0, 1]), constant(1), [1])
     assert res2.vertex_list() == [1] and res2.unique
+
+
+def test_min_pc_subgraph_matches_superset_scan(rng):
+    # The intersection of tight sets equals the unique smallest vertex set
+    # on which the sparse edges are partition-connected.
+    from conftest import brute_min_pc, random_hypergraph
+
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        if rng.random() < 0.3 and n >= 3:
+            g = random_hypergraph(rng, n, rng.randint(1, 7), 3)
+        else:
+            g = random_multigraph(rng, n, rng.randint(0, 9))
+        fn = rng.choice([
+            constant(1),
+            constant(2),
+            vertex_bulk(1, 0),
+            vertex_weights([rng.randint(0, 2) for _ in range(n)]),
+        ])
+        sparse = max_sparse(g, fn)
+        members = [i for i in sparse.members if rng.random() < 0.8]
+        targets = rng.sample(range(n), rng.randint(1, min(n, 3)))
+        expected = brute_min_pc(g, members, fn, targets)
+        if not expected:
+            with pytest.raises(Disconnected):
+                min_pc_subgraph(EdgeSubset(g, members), fn, targets)
+            continue
+        res = min_pc_subgraph(EdgeSubset(g, members), fn, targets)
+        assert expected == [res.vertex_list()] and res.unique
+
+
+def test_min_pc_subgraph_rejects_non_sparse():
+    with pytest.raises(NotSparse) as err:
+        min_pc_subgraph(EdgeSubset(C3, range(3)), constant(1), [0])
+    assert err.value.vertex_set == 0b111
 
 
 def test_e_star_examples():
