@@ -1,18 +1,26 @@
 """Hot enumeration kernels.
 
 Everything downstream funnels into a handful of exhaustive scans over bit
-masks: all set partitions of a small vertex set (restricted-growth
-strings), all vertex subsets, all orientations, all edge-to-part
+masks: all vertex subsets, all orientations, all edge-to-part
 assignments, and all pairs of subsets for property validation.  Set
 functions are materialized as ``int64`` tables indexed by mask before a
 kernel runs, so the kernels see only integer arrays.
 
-The kernels are compiled with numba when it is importable (the optional
-extra ``partition-forge[numba]``); otherwise they run as written.  Set
-``PARTITION_FORGE_NO_NUMBA=1`` to force the plain NumPy/Python
-implementations instead (the ``py_*`` names are always available,
-regardless of the flag; ``benchmarks/bench_kernels.py`` compares the two
-paths).
+The measure (the maximum over set partitions of ``sum l(A) - e(P)``) is
+a subset dynamic program rather than a scan: with i(X) the number of
+edges inside X, the crossing count of a partition of S is
+``i(S) - sum_A i(A)``, so the maximum over partitions of S equals
+``g(S) - i(S)`` with ``g(S)`` the maximum of ``sum_A (l(A) + i(A))``.
+:func:`partition_table` fills g for every S at once in O(3^k), one
+subset size at a time, from a per-k index of (S, block) pairs.
+
+The scan kernels are compiled with numba when it is importable (the
+optional extra ``partition-forge[numba]``); otherwise they run as
+written.  Set ``PARTITION_FORGE_NO_NUMBA=1`` to force the plain
+NumPy/Python implementations instead (the ``py_*`` names are always
+available, regardless of the flag).  The subset DP is NumPy on every
+path.  ``perfbench/run.py`` times every kernel end to end and per layer
+(``perfbench/README.md``).
 """
 
 import os
@@ -20,71 +28,6 @@ import os
 import numpy as np
 
 _HUGE = np.int64(2**62)
-
-
-def _partition_scan_impl(k, edge_masks, ltab, bound, early_exit):
-    """Scan every set partition of {0..k-1}; maximize sum(l) - crossings.
-
-    Returns ``(best_value, best_labels, exceeded)`` where ``best_labels``
-    is the restricted-growth string of the maximizing partition and
-    ``exceeded`` reports whether any partition value went above ``bound``.
-    With ``early_exit`` the scan stops at the first partition above
-    ``bound`` and returns that partition.
-    """
-    a = np.zeros(k, dtype=np.int64)
-    bmax = np.zeros(k, dtype=np.int64)
-    block = np.zeros(k, dtype=np.int64)
-    best = -_HUGE
-    best_rgs = np.zeros(k, dtype=np.int64)
-    exceeded = False
-    ne = edge_masks.shape[0]
-    while True:
-        nb = np.int64(0)
-        for i in range(k):
-            if a[i] > nb:
-                nb = a[i]
-        nb += 1
-        for j in range(nb):
-            block[j] = 0
-        for i in range(k):
-            block[a[i]] |= np.int64(1) << i
-        val = np.int64(0)
-        for j in range(nb):
-            val += ltab[block[j]]
-        for ei in range(ne):
-            em = edge_masks[ei]
-            low = em & (-em)
-            idx = 0
-            t = low
-            while t > 1:
-                t >>= 1
-                idx += 1
-            if em & ~block[a[idx]] != 0:
-                val -= 1
-        if val > best:
-            best = val
-            for i in range(k):
-                best_rgs[i] = a[i]
-            if best > bound:
-                exceeded = True
-                if early_exit:
-                    return best, best_rgs, True
-        i = k - 1
-        moved = False
-        while i > 0:
-            if a[i] <= bmax[i]:
-                a[i] += 1
-                for t2 in range(i + 1, k):
-                    a[t2] = 0
-                    bm = bmax[t2 - 1]
-                    if a[t2 - 1] > bm:
-                        bm = a[t2 - 1]
-                    bmax[t2] = bm
-                moved = True
-                break
-            i -= 1
-        if not moved:
-            return best, best_rgs, exceeded
 
 
 def _sparse_violation_impl(k, edge_masks, slack):
@@ -277,17 +220,17 @@ def _sparse_violation_numpy(k, edge_masks, slack):
 
 
 def _count_inside_numpy(k, edge_masks):
-    masks = np.arange(1 << k, dtype=np.int64)
-    counts = np.zeros(1 << k, dtype=np.int64)
-    for em in edge_masks:
-        counts += (masks & em) == em
+    """Edge count per mask, then a sum over subsets one bit at a time."""
+    counts = np.bincount(edge_masks, minlength=1 << k).astype(np.int64)
+    for b in range(k):
+        view = counts.reshape(-1, 2, 1 << b)
+        view[:, 1, :] += view[:, 0, :]
     return counts
 
 
 # ---------------------------------------------------------------------------
 # Path selection.
 
-py_partition_scan = _partition_scan_impl
 py_sparse_violation = _sparse_violation_numpy
 py_count_inside = _count_inside_numpy
 py_find_orientation = _find_orientation_impl
@@ -306,7 +249,6 @@ else:
 
 if njit is not None:
     _jit = njit(cache=True)
-    partition_scan = _jit(_partition_scan_impl)
     sparse_violation = _jit(_sparse_violation_impl)
     count_inside = _jit(_count_inside_impl)
     find_orientation = _jit(_find_orientation_impl)
@@ -315,7 +257,6 @@ if njit is not None:
     pair_violation = _jit(_pair_violation_impl)
     USING_NUMBA = True
 else:
-    partition_scan = py_partition_scan
     sparse_violation = py_sparse_violation
     count_inside = py_count_inside
     find_orientation = py_find_orientation
@@ -330,3 +271,91 @@ def as_mask_array(masks):
 
 
 HUGE = _HUGE
+
+
+# ---------------------------------------------------------------------------
+# The measure as a subset DP.
+
+# Per-k (S, block) index; it depends on k alone, so it is built once per k.
+_PAIR_INDEX = {}
+
+
+def _pair_index(k):
+    """``(layers, row)`` for subsets of {0..k-1}.
+
+    ``layers[s - 1]`` is ``(S, A, B)`` for the vertex sets S of size s in
+    increasing order: row r of the 2-D ``A`` lists the 2**(s-1) subsets of
+    ``S[r]`` that hold its lowest vertex, largest first (A = S leads), and
+    ``B = S ^ A``.  ``row[S]`` is the row of S in its layer.  Masks are
+    ``int32``, which k <= 30 allows; the arrays are read-only.
+    """
+    index = _PAIR_INDEX.get(k)
+    if index is not None:
+        return index
+    masks = np.arange(1 << k, dtype=np.int32)
+    sizes = np.zeros(1 << k, dtype=np.int32)
+    for b in range(k):
+        sizes += (masks >> b) & 1
+    row = np.zeros(1 << k, dtype=np.int32)
+    layers = []
+    for s in range(1, k + 1):
+        sets = masks[sizes == s]
+        row[sets] = np.arange(sets.size, dtype=np.int32)
+        low = sets & -sets
+        rest = sets ^ low
+        # Bit values of the other s-1 vertices of each set, low to high.
+        bits = (rest[:, None] >> np.arange(k, dtype=np.int32)) & 1
+        others = np.nonzero(bits)[1].astype(np.int32).reshape(sets.size, s - 1)
+        picks = np.arange((1 << (s - 1)) - 1, -1, -1, dtype=np.int32)
+        blocks = np.broadcast_to(low[:, None], (sets.size, picks.size)).copy()
+        for j in range(s - 1):
+            blocks |= ((picks >> j) & 1)[None, :] << others[:, j:j + 1]
+        layers.append((sets, blocks, sets[:, None] ^ blocks))
+    # Shared by every later call with this k: no caller may write to it.
+    for arr in [row] + [a for layer in layers for a in layer]:
+        arr.flags.writeable = False
+    index = _PAIR_INDEX[k] = (layers, row)
+    return index
+
+
+def partition_table(k, edge_masks, ltab):
+    """Subset DP over {0..k-1}: ``(g, inside)`` indexed by mask.
+
+    ``inside[S]`` counts the edge masks contained in S, and ``g[S]`` is the
+    maximum over partitions P of S of ``sum_{A in P} (ltab[A] + inside[A])``
+    (``g[0] = 0``), so the maximum of ``sum ltab[A] - e(P)`` over the
+    partitions of S is ``g[S] - inside[S]``.  Each subset size is one
+    vectorized max over the blocks holding the lowest vertex.
+    """
+    inside = count_inside(k, edge_masks)
+    w = ltab + inside
+    g = np.zeros(1 << k, dtype=np.int64)
+    for sets, blocks, rests in _pair_index(k)[0]:
+        g[sets] = (w[blocks] + g[rests]).max(axis=1)
+    return g, inside
+
+
+def partition_scan(k, edge_masks, ltab, bound):
+    """Maximize ``sum ltab[A] - crossings`` over every set partition of
+    {0..k-1}.
+
+    Returns ``(best_value, best_labels, exceeded)``: ``best_labels`` is
+    the restricted-growth string of a maximizing partition, rebuilt from
+    :func:`partition_table` by following a maximizing block from the full
+    set down, and ``exceeded`` is ``best_value > bound``.
+    """
+    g, inside = partition_table(k, edge_masks, ltab)
+    w = ltab + inside
+    layers, row = _pair_index(k)
+    labels = np.zeros(k, dtype=np.int64)
+    rest = (1 << k) - 1
+    label = 0
+    while rest:
+        _, blocks, rests = layers[rest.bit_count() - 1]
+        r = row[rest]
+        block = int(blocks[r, np.argmax(w[blocks[r]] + g[rests[r]])])
+        labels[[v for v in range(k) if block >> v & 1]] = label
+        label += 1
+        rest ^= block
+    best = int(g[-1] - inside[-1])
+    return best, labels, bool(best > bound)

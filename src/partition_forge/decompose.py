@@ -34,8 +34,8 @@ from .errors import (
     NotPartitionConnected,
     ValidationError,
 )
-from .hosts import EdgeSubset, Partition, induced_host, spanning_host
-from .limits import ASSIGNMENT_ORACLE_STATES
+from .hosts import EdgeSubset, Partition, spanning_host
+from .limits import ASSIGNMENT_ORACLE_STATES, PARTITION_ENUM_LIMIT, check
 from .setfn import ensure_properties, fn_sum, vertex_bulk, vertex_weights
 from .sparse import basis_size, min_pc_subgraph
 from .theta import pc_violation, theta_without
@@ -219,7 +219,8 @@ def witness_partition(host, family):
     Blocks are the vertex components of the edges an augmenting-path
     search from the uncovered edges reaches.  Both certificate properties
     are re-verified: no uncovered edge crosses the partition, and every
-    part induces a partition-connected piece on every block.  Together
+    part induces a partition-connected piece on every block (one
+    partition table per part, on the host's own vertex labels).  Together
     these imply no larger family exists; verification failure means the
     family was not maximum.
     """
@@ -248,11 +249,13 @@ def witness_partition(host, family):
         em = host.edge_masks[e]
         if not any(em & ~b == 0 for b in partition.blocks):
             raise FamilyNotMaximal("an uncovered edge crosses the witness partition")
+    check(host.n, PARTITION_ENUM_LIMIT, "vertex count")
     for part, l in zip(family.parts, family.functions):
+        ltab = l.table(host.n)
+        ems = _kernels.as_mask_array(part.masks())
+        g, inside = _kernels.partition_table(host.n, ems, ltab)
         for block in partition.blocks:
-            inside = [i for i in part.members if host.edge_masks[i] & ~block == 0]
-            sub, _ = induced_host(spanning_host(host, inside), block)
-            if pc_violation(sub, l, trust_flags=True) is not None:
+            if g[block] - inside[block] != ltab[block]:
                 raise FamilyNotMaximal(
                     "a part is not partition-connected inside a witness block"
                 )

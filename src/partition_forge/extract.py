@@ -17,6 +17,7 @@ from .errors import (
     ConditionViolated,
     HypothesisViolated,
     Infeasible,
+    InternalError,
     NoWitness,
     ValidationError,
 )
@@ -461,9 +462,10 @@ def check_tough_extract(graph, l, h, forced, c, *, trust_flags=None):
     result = min_theta_extension(graph, l, target, forced_sub.members,
                                  trust_flags=True)
     sub = spanning_host(graph, result.members)
-    assert theta_without(sub, l, 0, trust_flags=True) == lg, (
-        "hypotheses held but the extension is not partition-connected"
-    )
+    if theta_without(sub, l, 0, trust_flags=True) != lg:
+        raise InternalError(
+            "hypotheses held but the extension is not partition-connected"
+        )
     return result
 
 

@@ -8,7 +8,9 @@ from math import comb
 
 from .errors import LimitExceeded
 
-# Partition enumeration (Bell numbers): theta oracles, connectivity checks.
+# Vertex count of the subset-DP partition table (O(3^n) work, an index of
+# (3^n - 1) / 2 block pairs): theta oracles, connectivity checks, packing
+# witnesses.  The CLI's --max-partitions still reads it as a Bell(n) budget.
 PARTITION_ENUM_LIMIT = 12
 # Component decomposition enumerates subsets of the vertex set.
 COMPONENT_LIMIT = 10

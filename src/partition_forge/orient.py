@@ -16,6 +16,7 @@ from . import _kernels
 from .bits import bit_count, bit_list, mask_of
 from .errors import (
     ConditionViolated,
+    InternalError,
     NotArcConnected,
     NotPartitionConnected,
     NotSparse,
@@ -270,7 +271,8 @@ def extract_bounded_via_orientation(graph, l, h, *, trust_flags=None):
     assert orient is not None, "partition-connected host had no orientation"
     result = min_arc_subdigraph(orient, ell, trust_flags=True)
     sub = spanning_host(graph, result.members)
-    assert is_pc(sub, l, trust_flags=True), "orientation route lost connectivity"
+    if not is_pc(sub, l, trust_flags=True):
+        raise InternalError("orientation route lost connectivity")
     rd = result.degrees()
     assert all(rd[v] <= hvals[v] for v in range(n)), "degree bound failed"
     return result
@@ -330,9 +332,8 @@ def trim_pc(host, l, *, trust_flags=None):
             )
             y = min(v for v in verts if (1 << v) & tight_block and v != keep)
             hes[idx] = ([v for v in verts if v != y], head)
-            assert pc_violation(build(), l, trust_flags=True) is None, (
-                "tight-block removal broke connectivity"
-            )
+            if pc_violation(build(), l, trust_flags=True) is not None:
+                raise InternalError("tight-block removal broke connectivity")
     return build()
 
 

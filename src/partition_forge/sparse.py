@@ -10,7 +10,13 @@ import numpy as np
 
 from . import _kernels
 from .bits import as_mask, bit_list
-from .errors import Disconnected, NotPartitionConnected, NotSparse, ValidationError
+from .errors import (
+    Disconnected,
+    InternalError,
+    NotPartitionConnected,
+    NotSparse,
+    ValidationError,
+)
 from .hosts import EdgeSubset
 from .limits import EDGE_SEARCH_LIMIT, SUBSET_LIMIT, check
 from .setfn import ensure_properties
@@ -87,7 +93,7 @@ def _is_pc_members(host, members, l):
         return True
     ltab = l.table(host.n)
     ems = _kernels.as_mask_array(host.edge_masks[i] for i in sorted(members))
-    _, _, exceeded = _kernels.partition_scan(host.n, ems, ltab, ltab[-1], True)
+    _, _, exceeded = _kernels.partition_scan(host.n, ems, ltab, ltab[-1])
     return not exceeded
 
 
@@ -113,9 +119,10 @@ def _enumerate_bases(host, l, forced=frozenset(), *, trust_flags=None):
     def dfs(start, chosen):
         if len(chosen) == target:
             members = sorted(chosen)
-            assert _is_pc_members(host, members, l), (
-                "sparse set of full size failed the connectivity recheck"
-            )
+            if not _is_pc_members(host, members, l):
+                raise InternalError(
+                    "sparse set of full size failed the connectivity recheck"
+                )
             yield Basis(EdgeSubset(host, members))
             return
         for pos in range(start, len(free)):

@@ -7,6 +7,11 @@ of ``sum l(A) - e(P)``; it equals ``l(V)`` exactly on partition-connected
 hosts, and it also arises from the unique decomposition into maximal
 partition-connected pieces.  Both routes are implemented and
 cross-checked in the tests.
+
+They read one subset DP (:func:`_kernels.partition_table`): with
+i(X) the number of edges inside X, the measure of the sub-host induced on
+S is ``g(S) - i(S)``, where ``g(S)`` is the maximum over partitions of S of
+``sum (l(A) + i(A))``.  One O(3^n) table gives it for every S at once.
 """
 
 from itertools import combinations
@@ -15,6 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .bits import as_mask, bit_count, bit_list, mask_of
+from .errors import InternalError
 from .hosts import Partition, cross_edges, partition_from_labels, restricted_removal
 from .limits import COMPONENT_LIMIT, PARTITION_ENUM_LIMIT, check
 from .setfn import ensure_properties
@@ -52,7 +58,7 @@ def _sub_tables(host, l, sub_mask):
     return k, verts, _kernels.as_mask_array(ems), ltab
 
 
-def _scan_full(host, l, *, limit, bound=None, early=False):
+def _scan_full(host, l, *, limit, bound=None):
     k = host.n
     check(k, limit, "vertex count")
     if k == 0:
@@ -60,7 +66,7 @@ def _scan_full(host, l, *, limit, bound=None, early=False):
     ltab = l.table(k)
     ems = _kernels.as_mask_array(host.edge_masks)
     b = _kernels.HUGE if bound is None else np.int64(bound)
-    val, rgs, exceeded = _kernels.partition_scan(k, ems, ltab, b, early)
+    val, rgs, exceeded = _kernels.partition_scan(k, ems, ltab, b)
     return int(val), rgs, bool(exceeded)
 
 
@@ -72,7 +78,8 @@ def theta_oracle(host, l, *, limit=PARTITION_ENUM_LIMIT, trust_flags=None):
     if host.n == 0:
         return 0
     lg = l.value(host.full_mask)
-    assert value >= lg, "theta fell below l(V); the scan is broken"
+    if value < lg:
+        raise InternalError("theta fell below l(V); the partition table is broken")
     return value
 
 
@@ -83,7 +90,7 @@ def pc_violation(host, l, *, limit=PARTITION_ENUM_LIMIT, trust_flags=None):
     if host.n == 0:
         return None
     bound = l.value(host.full_mask)
-    _, rgs, exceeded = _scan_full(host, l, limit=limit, bound=bound, early=True)
+    _, rgs, exceeded = _scan_full(host, l, limit=limit, bound=bound)
     if not exceeded:
         return None
     return partition_from_labels(rgs, list(range(host.n)), host.full_mask)
@@ -95,33 +102,25 @@ def is_pc(host, l, *, limit=PARTITION_ENUM_LIMIT, trust_flags=None):
     return pc_violation(host, l, limit=limit, trust_flags=trust_flags) is None
 
 
-def _is_pc_sub(host, l, sub_mask, memo):
-    """Partition-connectivity of the induced sub-host (memoized per call)."""
-    got = memo.get(sub_mask)
-    if got is not None:
-        return got
-    if bit_count(sub_mask) <= 1:
-        memo[sub_mask] = True
-        return True
-    k, _, ems, ltab = _sub_tables(host, l, sub_mask)
-    _, _, exceeded = _kernels.partition_scan(k, ems, ltab, ltab[-1], True)
-    memo[sub_mask] = not exceeded
-    return memo[sub_mask]
-
-
 def pc_components(host, l, *, limit=COMPONENT_LIMIT, trust_flags=None):
     """The unique decomposition into maximal l-partition-connected blocks.
 
     Greedy over induced subsets in decreasing size: any partition-connected
     set lies inside a single component, so the largest connected subset of
     the remaining vertices is always a component.  Singletons are always
-    partition-connected, so the loop terminates.
+    partition-connected, so the loop terminates.  A set S is
+    partition-connected iff ``g(S) - i(S) = l(S)`` in one partition table
+    over the host.
     """
     ensure_properties(l, ("intersecting-supermodular",), host.n, trust=trust_flags)
     check(host.n, limit, "vertex count")
     if host.n == 0:
         return ComponentDecomposition(Partition((), 0), 0)
-    memo = {}
+    ltab = l.table(host.n)
+    g, inside = _kernels.partition_table(
+        host.n, _kernels.as_mask_array(host.edge_masks), ltab
+    )
+    connected = g - inside == ltab
     blocks = []
     remaining = host.full_mask
     while remaining:
@@ -130,7 +129,7 @@ def pc_components(host, l, *, limit=COMPONENT_LIMIT, trust_flags=None):
         for size in range(len(verts), 0, -1):
             for combo in combinations(verts, size):
                 m = mask_of(combo)
-                if _is_pc_sub(host, l, m, memo):
+                if connected[m]:
                     found = m
                     break
             if found is not None:
@@ -139,7 +138,8 @@ def pc_components(host, l, *, limit=COMPONENT_LIMIT, trust_flags=None):
         remaining &= ~found
     partition = Partition(blocks, host.full_mask)
     value = sum(l.value(b) for b in partition.blocks) - cross_edges(host, partition)
-    assert value >= l.value(host.full_mask), "theta fell below l(V)"
+    if value < l.value(host.full_mask):
+        raise InternalError("theta fell below l(V)")
     return ComponentDecomposition(partition, value)
 
 
@@ -162,7 +162,7 @@ def theta_without(host, l, vertex_set, *, limit=PARTITION_ENUM_LIMIT, trust_flag
     if k == 0:
         return 0
     kk, _, ems, ltab = _sub_tables(host, l, sub)
-    val, _, _ = _kernels.partition_scan(kk, ems, ltab, _kernels.HUGE, False)
+    val, _, _ = _kernels.partition_scan(kk, ems, ltab, _kernels.HUGE)
     return int(val)
 
 

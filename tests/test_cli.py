@@ -223,6 +223,20 @@ def test_internal_error_exit_code(files, monkeypatch):
     assert json.loads(out)["error"]["kind"] == "internal"
 
 
+def test_failed_basis_recheck_raises_internal_error(files, monkeypatch):
+    import partition_forge.sparse as sparse
+    from partition_forge import InternalError, constant, enumerate_bases
+    from partition_forge.cli import parse_graph
+
+    monkeypatch.setattr(sparse, "_is_pc_members", lambda host, members, l: False)
+    with pytest.raises(InternalError):
+        list(enumerate_bases(parse_graph(K4_DOC), constant(1)))
+    code, out = run_cli(["bases", "--graph", files["k4"], "--setfn", files["const1"],
+                         "--format", "json"])
+    assert code == 5
+    assert json.loads(out)["error"]["kind"] == "internal"
+
+
 def test_text_format(files):
     code, out = run_cli(["theta", "--graph", files["two"],
                          "--setfn", files["const1"]])

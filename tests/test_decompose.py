@@ -32,6 +32,7 @@ from partition_forge import (
     pack_trees_pc,
     spanning_host,
     vertex_bulk,
+    vertex_weights,
     witness_partition,
 )
 from conftest import (
@@ -318,3 +319,15 @@ def test_failed_recheck_raises_internal_error(monkeypatch):
     monkeypatch.setattr(decompose, "_part_is_pc", lambda host, members, l: False)
     with pytest.raises(InternalError):
         decompose_pc(K4, [L1, L1])
+
+
+def test_witness_partition_reads_the_demand_on_the_host_labels():
+    # Block {0, 2} is tight for the vertex_weights part: its demand is read
+    # on vertices 0 and 2, not on the relabelled 0 and 1.
+    host = MultiGraph(3, [(0, 1), (0, 2), (0, 1), (0, 2), (0, 2), (0, 2)])
+    fns = [constant(1), vertex_weights([2, 1, 0])]
+    best, _ = assignment_optimum(host, fns)
+    fam = max_sparse_family(host, fns)
+    assert fam.size() == best == 5
+    witness = witness_partition(host, fam)
+    assert witness.blocks_as_lists() == [[0, 2], [1]]

@@ -1,10 +1,15 @@
-"""The selected kernel path must agree with the fallback twins."""
+"""Kernels against brute force, and the selected path against the fallback
+twins (the same code when numba is absent)."""
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import brute_cross, brute_theta, edge_sets_of, iter_set_partitions
+from partition_forge import Hyperedge, Hypergraph, MultiGraph
 from partition_forge import _kernels as K
 
 
@@ -33,18 +38,66 @@ def cases():
     return out
 
 
-def test_partition_scan_twins(cases):
+@st.composite
+def scan_instances(draw):
+    """A multigraph or rank-3 hypergraph on k <= 6 vertices, a table of
+    signed values (0 on the empty set) and a bound."""
+    k = draw(st.integers(0, 6))
+    rank = draw(st.sampled_from([2, 3]))
+    edges = [] if k < 2 else draw(st.lists(
+        st.sets(st.integers(0, k - 1), min_size=2, max_size=rank), max_size=8
+    ))
+    if rank == 2:
+        host = MultiGraph(k, [tuple(e) for e in edges])
+    else:
+        host = Hypergraph(k, [Hyperedge(e) for e in edges])
+    values = draw(st.lists(st.integers(-3, 5), min_size=1 << k, max_size=1 << k))
+    tab = np.asarray([0] + values[1:], dtype=np.int64)
+    bound = draw(st.integers(-4, 12))
+    return host, tab, bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_instances())
+def test_partition_scan_matches_brute_force(instance):
+    host, tab, bound = instance
+    k = host.n
+    edge_sets = edge_sets_of(host)
+
+    def lval(block):
+        return int(tab[sum(1 << v for v in block)])
+
+    brute = brute_theta(k, edge_sets, lval)
+    ems = K.as_mask_array(host.edge_masks)
+    best, labels, exceeded = K.partition_scan(k, ems, tab, np.int64(bound))
+    assert best == brute
+    assert exceeded == (brute > bound)
+    # The labels are a restricted-growth string of a partition reaching best.
+    labels = [int(x) for x in labels]
+    assert len(labels) == k
+    assert all(lab <= max(labels[:i], default=-1) + 1 for i, lab in enumerate(labels))
+    blocks = [[v for v in range(k) if labels[v] == j]
+              for j in range(max(labels, default=-1) + 1)]
+    assert sum(lval(b) for b in blocks) - brute_cross(edge_sets, blocks) == best
+
+
+def test_partition_table_gives_theta_of_every_induced_sub_host(cases):
     for k, masks, tab, _ in cases:
-        a = K.partition_scan(k, masks, tab, K.HUGE, False)
-        b = K.py_partition_scan(k, masks, tab, K.HUGE, False)
-        assert a[0] == b[0]
-        assert list(a[1]) == list(b[1])
-        bound = tab[-1]
-        a = K.partition_scan(k, masks, tab, bound, True)
-        b = K.py_partition_scan(k, masks, tab, bound, True)
-        assert a[2] == b[2]
-        if a[2]:
-            assert list(a[1]) == list(b[1])
+        g, inside = K.partition_table(k, masks, tab)
+
+        def lval(block):
+            return int(tab[sum(1 << v for v in block)])
+
+        for sub in range(1 << k):
+            verts = [v for v in range(k) if sub >> v & 1]
+            inner = [frozenset(v for v in range(k) if em >> v & 1)
+                     for em in masks if em & ~sub == 0]
+            assert inside[sub] == len(inner)
+            best = None
+            for part in iter_set_partitions(verts):
+                val = sum(lval(b) for b in part) - brute_cross(inner, part)
+                best = val if best is None else max(best, val)
+            assert g[sub] - inside[sub] == (0 if best is None else best)
 
 
 def test_sparse_and_count_twins(cases):
@@ -55,6 +108,9 @@ def test_sparse_and_count_twins(cases):
             K.py_sparse_violation(k, masks, slack)
         )
         assert list(K.count_inside(k, masks)) == list(K.py_count_inside(k, masks))
+        assert list(K.count_inside(k, masks)) == [
+            sum(1 for em in masks if em & ~a == 0) for a in range(1 << k)
+        ]
 
 
 def test_orientation_twins():
@@ -109,7 +165,7 @@ def test_pair_violation_twins(cases):
 def test_empty_edge_sets():
     tab = np.zeros(4, dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
-    val, rgs, exceeded = K.partition_scan(2, empty, tab, K.HUGE, False)
+    val, rgs, exceeded = K.partition_scan(2, empty, tab, K.HUGE)
     assert int(val) == 0 and not exceeded
     assert int(K.sparse_violation(2, empty, tab)) == -1
     best, assign = K.assignment_best(2, empty, np.zeros((1, 4), dtype=np.int64),
