@@ -9,7 +9,6 @@ constrained orientations.  Everything is exact and desk-scale, with
 exhaustive oracles backing each construction.
 """
 
-from ._kernels import USING_NUMBA
 from .errors import (
     ConditionViolated,
     Disconnected,
@@ -119,3 +118,6 @@ from .orient import (
 )
 
 __version__ = "0.1.0"
+
+# Every kernel is plain NumPy/Python; benchmark run records still read this.
+USING_NUMBA = False

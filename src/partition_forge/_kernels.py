@@ -14,50 +14,37 @@ edges inside X, the crossing count of a partition of S is
 :func:`partition_table` fills g for every S at once in O(3^k), one
 subset size at a time, from a per-k index of (S, block) pairs.
 
-The scan kernels are compiled with numba when it is importable (the
-optional extra ``partition-forge[numba]``); otherwise they run as
-written.  Set ``PARTITION_FORGE_NO_NUMBA=1`` to force the plain
-NumPy/Python implementations instead (the ``py_*`` names are always
-available, regardless of the flag).  The subset DP is NumPy on every
-path.  ``perfbench/run.py`` times every kernel end to end and per layer
-(``perfbench/README.md``).
+Every kernel is plain NumPy/Python; ``perfbench/run.py`` times each one
+end to end and per layer (``perfbench/README.md``).
 """
-
-import os
 
 import numpy as np
 
-_HUGE = np.int64(2**62)
+HUGE = np.int64(2**62)
 
 
-def _sparse_violation_impl(k, edge_masks, slack):
+def sparse_violation(k, edge_masks, slack):
     """First mask A with more edges inside A than ``slack[A]`` allows, -1
     if none.  ``slack[A]`` is sum over v in A of l(v), minus l(A)."""
-    ne = edge_masks.shape[0]
-    for mask in range(1 << k):
-        cnt = np.int64(0)
-        for ei in range(ne):
-            if edge_masks[ei] & ~np.int64(mask) == 0:
-                cnt += 1
-        if cnt > slack[mask]:
-            return np.int64(mask)
-    return np.int64(-1)
-
-
-def _count_inside_impl(k, edge_masks):
-    """counts[A] = number of edge masks contained in A."""
+    masks = np.arange(1 << k, dtype=np.int64)
     counts = np.zeros(1 << k, dtype=np.int64)
-    ne = edge_masks.shape[0]
-    for mask in range(1 << k):
-        cnt = np.int64(0)
-        for ei in range(ne):
-            if edge_masks[ei] & ~np.int64(mask) == 0:
-                cnt += 1
-        counts[mask] = cnt
+    for em in edge_masks:
+        counts += (masks & em) == em
+    bad = np.nonzero(counts > slack)[0]
+    return np.int64(bad[0]) if bad.size else np.int64(-1)
+
+
+def count_inside(k, edge_masks):
+    """counts[A] = number of edge masks contained in A: the edge count per
+    mask, then a sum over subsets one bit at a time."""
+    counts = np.bincount(edge_masks, minlength=1 << k).astype(np.int64)
+    for b in range(k):
+        view = counts.reshape(-1, 2, 1 << b)
+        view[:, 1, :] += view[:, 0, :]
     return counts
 
 
-def _find_orientation_impl(k, tails, heads, ltab):
+def find_orientation(k, tails, heads, ltab):
     """First orientation bitmask (bit i set = edge i points tails->heads)
     whose every vertex set A has in-degree >= ltab[A]; -1 if none."""
     ne = tails.shape[0]
@@ -86,7 +73,7 @@ def _find_orientation_impl(k, tails, heads, ltab):
     return np.int64(-1)
 
 
-def _arc_violation_impl(k, head_vertices, arc_masks, ltab):
+def arc_violation(k, head_vertices, arc_masks, ltab):
     """First vertex set A whose in-degree (arcs with head in A leaving a
     vertex outside A) is below ltab[A]; -1 if none."""
     ne = head_vertices.shape[0]
@@ -103,7 +90,7 @@ def _arc_violation_impl(k, head_vertices, arc_masks, ltab):
     return np.int64(-1)
 
 
-def _assignment_best_impl(k, edge_masks, slacks, cap):
+def assignment_best(k, edge_masks, slacks, cap):
     """Assign each edge to one of m parts or leave it out, maximizing the
     number of assigned edges subject to every part staying sparse.
 
@@ -169,7 +156,7 @@ def _assignment_best_impl(k, edge_masks, slacks, cap):
     return best, best_assign
 
 
-def _pair_violation_impl(tab, k, mode):
+def pair_violation(tab, k, mode):
     """First pair (A, B) violating a two-set property of ``tab``.
 
     mode 0: supermodular over all pairs
@@ -207,70 +194,8 @@ def _pair_violation_impl(tab, k, mode):
     return np.empty(0, dtype=np.int64)
 
 
-# ---------------------------------------------------------------------------
-# Fallback variants that vectorize naturally with NumPy.
-
-def _sparse_violation_numpy(k, edge_masks, slack):
-    masks = np.arange(1 << k, dtype=np.int64)
-    counts = np.zeros(1 << k, dtype=np.int64)
-    for em in edge_masks:
-        counts += (masks & em) == em
-    bad = np.nonzero(counts > slack)[0]
-    return np.int64(bad[0]) if bad.size else np.int64(-1)
-
-
-def _count_inside_numpy(k, edge_masks):
-    """Edge count per mask, then a sum over subsets one bit at a time."""
-    counts = np.bincount(edge_masks, minlength=1 << k).astype(np.int64)
-    for b in range(k):
-        view = counts.reshape(-1, 2, 1 << b)
-        view[:, 1, :] += view[:, 0, :]
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# Path selection.
-
-py_sparse_violation = _sparse_violation_numpy
-py_count_inside = _count_inside_numpy
-py_find_orientation = _find_orientation_impl
-py_arc_violation = _arc_violation_impl
-py_assignment_best = _assignment_best_impl
-py_pair_violation = _pair_violation_impl
-
-_FORCE_PY = os.environ.get("PARTITION_FORGE_NO_NUMBA", "") not in ("", "0")
-if not _FORCE_PY:
-    try:
-        from numba import njit
-    except ImportError:  # numba is the optional extra ``partition-forge[numba]``
-        njit = None
-else:
-    njit = None
-
-if njit is not None:
-    _jit = njit(cache=True)
-    sparse_violation = _jit(_sparse_violation_impl)
-    count_inside = _jit(_count_inside_impl)
-    find_orientation = _jit(_find_orientation_impl)
-    arc_violation = _jit(_arc_violation_impl)
-    assignment_best = _jit(_assignment_best_impl)
-    pair_violation = _jit(_pair_violation_impl)
-    USING_NUMBA = True
-else:
-    sparse_violation = py_sparse_violation
-    count_inside = py_count_inside
-    find_orientation = py_find_orientation
-    arc_violation = py_arc_violation
-    assignment_best = py_assignment_best
-    pair_violation = py_pair_violation
-    USING_NUMBA = False
-
-
 def as_mask_array(masks):
     return np.asarray(list(masks), dtype=np.int64)
-
-
-HUGE = _HUGE
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,11 @@ from .errors import (
     NotPartitionConnected,
     ValidationError,
 )
+from .extract import kl_edge_connected
 from .hosts import EdgeSubset, Partition, spanning_host
 from .limits import ASSIGNMENT_ORACLE_STATES, PARTITION_ENUM_LIMIT, check
 from .setfn import ensure_properties, fn_sum, vertex_bulk, vertex_weights
-from .sparse import basis_size, min_pc_subgraph
+from .sparse import _greedy_owner, basis_size, min_pc_subgraph
 from .theta import pc_violation, theta_without
 
 _PACK_FLAGS = ("intersecting-supermodular", "subadditive")
@@ -152,23 +153,6 @@ def _augment(host, functions, owner):
                     parent[f] = e
                     queue.append(f)
     return frozenset(parent)
-
-
-def _greedy_owner(host, functions):
-    """Each edge, in index order, joins the first part it keeps sparse."""
-    m = len(functions)
-    masks = np.arange(1 << host.n, dtype=np.int64)
-    slacks = [l.slack_table(host.n) for l in functions]
-    counts = [np.zeros(1 << host.n, dtype=np.int64) for _ in range(m)]
-    owner = [m] * host.edge_count
-    for e, em in enumerate(host.edge_masks):
-        inside_e = (masks & em) == em
-        for i in range(m):
-            if np.all(counts[i] + inside_e <= slacks[i]):
-                counts[i] += inside_e
-                owner[e] = i
-                break
-    return owner
 
 
 def max_sparse_family(host, functions, *, method="auto", trust_flags=None):
@@ -326,13 +310,12 @@ def half_degree_pc(host, l, u, *, trust_flags=None):
     r = host.rank if host.is_hypergraph else 2
     if r < 2:
         raise ValidationError("host has no edges")
-    for a in range(1, host.full_mask):
-        d = sum(1 for em in host.edge_masks if em & a and em & ~a & host.full_mask)
-        if d < r * l.value(a):
-            raise HypothesisViolated(
-                "host is not (rank*l)-edge-connected",
-                clause="rl-edge-connected", vertex_set=a,
-            )
+    bad = kl_edge_connected(host, l, r)
+    if bad is not None:
+        raise HypothesisViolated(
+            "host is not (rank*l)-edge-connected",
+            clause="rl-edge-connected", vertex_set=bad,
+        )
     degs = host.degrees()
     lg = l.value(host.full_mask)
     weights = []

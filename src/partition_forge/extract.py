@@ -21,7 +21,14 @@ from .errors import (
     NoWitness,
     ValidationError,
 )
-from .hosts import EdgeSubset, enumerate_partitions, spanning_host
+from .hosts import (
+    EdgeSubset,
+    boundary_count,
+    cross_edges,
+    enumerate_partitions,
+    induced_edge_count,
+    spanning_host,
+)
 from .limits import EDGE_SEARCH_LIMIT, check
 from .setfn import ceil_fraction, ensure_properties
 from .sparse import Basis, _enumerate_bases, e_star_table
@@ -96,7 +103,8 @@ def min_excess_basis(graph, l, target, forced=None, *, trust_flags=None):
             best, best_te = basis, te
             if te == 0:
                 break
-    assert best is not None, "partition-connected host yielded no basis"
+    if best is None:
+        raise InternalError("partition-connected host yielded no basis")
     return best, best_te
 
 
@@ -213,9 +221,7 @@ def check_main_condition(graph, l, x_set, eta, lam, variant="sharp", *,
             ls = int(ltab[s])
             inner = sum((eta[v] - 2 * l.value(1 << v)) for v in combo)
             if variant == "intro":
-                es = sum(
-                    1 for em in graph.edge_masks if em & ~s == 0
-                )
+                es = induced_edge_count(graph, s)
                 rhs = inner + lg + ls - lam * (es + ls)
                 margin = rhs - lhs
             else:
@@ -236,7 +242,7 @@ def extract_bounded(graph, l, x_set, eta, lam, *, trust_flags=None):
 
     The sharp sufficient condition is verified first; when it holds, a
     minimum-excess basis is guaranteed to reach zero excess, and that is
-    asserted.
+    checked.
     """
     verdict = check_main_condition(
         graph, l, x_set, eta, lam, "sharp", trust_flags=trust_flags
@@ -257,7 +263,8 @@ def extract_bounded(graph, l, x_set, eta, lam, *, trust_flags=None):
         ]
     )
     basis, te = min_excess_basis(graph, l, target, trust_flags=True)
-    assert te == 0, "condition held but no zero-excess basis was found"
+    if te != 0:
+        raise InternalError("condition held but no zero-excess basis was found")
     return basis
 
 
@@ -266,8 +273,7 @@ def kl_edge_connected(graph, l, k):
     fewer than k*l(A) boundary edges, else None."""
     k = Fraction(k)
     for a in range(1, graph.full_mask):
-        d = sum(1 for em in graph.edge_masks if em & a and em & ~a & graph.full_mask)
-        if d < k * l.value(a):
+        if boundary_count(graph, a) < k * l.value(a):
             return a
     return None
 
@@ -277,17 +283,8 @@ def kl_partition_connected(host, l, k, *, trust_flags=None):
     ``k*(sum l(A) - l(V))`` crossing edges, else None."""
     k = Fraction(k)
     for p in enumerate_partitions(host.full_mask):
-        crossing = 0
-        block_of = {}
-        for j, b in enumerate(p.blocks):
-            for v in bit_list(b):
-                block_of[v] = j
-        for em in host.edge_masks:
-            b = p.blocks[block_of[bit_list(em)[0]]]
-            if em & ~b:
-                crossing += 1
         need = k * (sum(l.value(b) for b in p.blocks) - l.value(host.full_mask))
-        if crossing < need:
+        if cross_edges(host, p) < need:
             return p
     return None
 
@@ -381,7 +378,8 @@ def min_theta_extension(graph, l, target, forced=None, *, trust_flags=None,
         dfs(pos + 1, chosen)
 
     dfs(0, set())
-    assert best is not None
+    if best is None:
+        raise InternalError("no inclusion-maximal zero-excess subgraph was scored")
     return EdgeSubset(graph, best[1])
 
 
@@ -397,12 +395,7 @@ def tough_component_condition(graph, forced, l, c):
     comp = pc_components(fhost, l, trust_flags=True)
     for block in comp.partition.blocks:
         lhs = sum(l.value(1 << v) for v in bit_list(block))
-        df = sum(
-            1
-            for i in _as_members(forced)
-            if graph.edge_masks[i] & block
-            and graph.edge_masks[i] & ~block & graph.full_mask
-        )
+        df = boundary_count(fhost, block)
         if lhs < c * l.value(block) - Fraction(c - 1, 2) * df:
             return block
     return None
@@ -490,5 +483,6 @@ def lex_min_excess(graph, l, forced, targets, *, trust_flags=None):
         vec = tuple(_te_of_degrees(degs, t) for t in resolved)
         if best_vec is None or vec < best_vec:
             best, best_vec = basis, vec
-    assert best is not None
+    if best is None:
+        raise InternalError("partition-connected host yielded no basis")
     return best.edges

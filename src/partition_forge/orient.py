@@ -79,7 +79,7 @@ def orient_arc_connected(graph, l, *, limit=ORIENTATION_EDGE_LIMIT,
 
     For a nonnegative intersecting supermodular l that vanishes on the
     whole vertex set, existence is equivalent to l-partition-connectivity
-    of the host; both directions are asserted.
+    of the host; both directions are checked.
     """
     check(graph.edge_count, limit, "edge count")
     if require_flags:
@@ -96,9 +96,10 @@ def orient_arc_connected(graph, l, *, limit=ORIENTATION_EDGE_LIMIT,
     om = int(_kernels.find_orientation(graph.n, tails, heads, l.table(graph.n)))
     if require_flags:
         connected = is_pc(graph, l, trust_flags=True)
-        assert (om >= 0) == connected, (
-            "orientation existence disagreed with partition-connectivity"
-        )
+        if (om >= 0) != connected:
+            raise InternalError(
+                "orientation existence disagreed with partition-connectivity"
+            )
     if om < 0:
         return None
     head_of = [
@@ -114,7 +115,7 @@ def min_arc_subdigraph(directed, l, *, trust_flags=None):
     When l carries the interpreted flags (element-nonincreasing and
     positively intersecting supermodular, nonnegative, zero on the full
     set), the result has in-degree exactly l(v) at every vertex; that is
-    asserted in that case.
+    checked in that case.
     """
     n, all_heads, all_masks = _arc_arrays(directed)
     if arc_connectivity_violation(directed, l) is not None:
@@ -140,9 +141,10 @@ def min_arc_subdigraph(directed, l, *, trust_flags=None):
     if exact_degrees_expected:
         for v in range(n):
             indeg = sum(1 for j in members if int(all_heads[j]) == v)
-            assert indeg == l.value(1 << v), (
-                "minimal arc-connected subdigraph missed the exact in-degree"
-            )
+            if indeg != l.value(1 << v):
+                raise InternalError(
+                    "minimal arc-connected subdigraph missed the exact in-degree"
+                )
     return result
 
 
@@ -202,13 +204,13 @@ def orient_decompose(graph, functions, u, roots=None, *, trust_flags=None):
             head_of[orig] = orient.head_of[local]
         parts.append(part)
     orientation = Orientation(graph, head_of)
-    for v in range(graph.n):
-        assert orientation.out_degree(v) <= ceil(degs[v] / 2)
-    assert orientation.out_degree(u) <= floor(degs[u] / 2)
+    if any(orientation.out_degree(v) > ceil(degs[v] / 2) for v in range(graph.n)):
+        raise InternalError("an out-degree exceeds half the degree")
+    if orientation.out_degree(u) > floor(degs[u] / 2):
+        raise InternalError("the out-degree at u exceeds its reduced bound")
     for part, l in zip(parts[1:], functions):
-        assert (
-            arc_connectivity_violation(orientation, l, part.members) is None
-        ), "a part lost its arc-connectivity"
+        if arc_connectivity_violation(orientation, l, part.members) is not None:
+            raise InternalError("a part lost its arc-connectivity")
     return orientation, parts[1:]
 
 
@@ -219,7 +221,7 @@ def extract_bounded_via_orientation(graph, l, h, *, trust_flags=None):
 
     Requires a nonincreasing nonnegative intersecting supermodular l.
     The underlying edge set is returned; it is partition-connected for l
-    and has degree at most h(v) everywhere, both asserted.
+    and has degree at most h(v) everywhere, both checked.
     """
     from .extract import DegreeTarget
 
@@ -268,13 +270,15 @@ def extract_bounded_via_orientation(graph, l, h, *, trust_flags=None):
             "the degree bounds are not reachable this way",
         )
     orient = orient_arc_connected(graph, ell_up, require_flags=False)
-    assert orient is not None, "partition-connected host had no orientation"
+    if orient is None:
+        raise InternalError("partition-connected host had no orientation")
     result = min_arc_subdigraph(orient, ell, trust_flags=True)
     sub = spanning_host(graph, result.members)
     if not is_pc(sub, l, trust_flags=True):
         raise InternalError("orientation route lost connectivity")
     rd = result.degrees()
-    assert all(rd[v] <= hvals[v] for v in range(n)), "degree bound failed"
+    if any(rd[v] > hvals[v] for v in range(n)):
+        raise InternalError("degree bound failed")
     return result
 
 
@@ -327,9 +331,10 @@ def trim_pc(host, l, *, trust_flags=None):
                         break
                 if tight_block is not None:
                     break
-            assert tight_block is not None, (
-                "a failed removal had no tight partition isolating it"
-            )
+            if tight_block is None:
+                raise InternalError(
+                    "a failed removal had no tight partition isolating it"
+                )
             y = min(v for v in verts if (1 << v) & tight_block and v != keep)
             hes[idx] = ([v for v in verts if v != y], head)
             if pc_violation(build(), l, trust_flags=True) is not None:
@@ -368,7 +373,8 @@ def trim_sparse(host, l, *, trust_flags=None):
                     done = True
                     break
                 hes[idx] = (verts, head)
-            assert done, "no removal preserved sparseness"
+            if not done:
+                raise InternalError("no removal preserved sparseness")
     return build()
 
 
@@ -400,5 +406,6 @@ def trim_arc(host, l, *, trust_flags=None):
                     done = True
                     break
                 hes[idx] = (verts, head)
-            assert done, "no removal preserved arc-connectivity"
+            if not done:
+                raise InternalError("no removal preserved arc-connectivity")
     return build()

@@ -67,19 +67,29 @@ def is_sparse(host, edges, l, *, limit=SUBSET_LIMIT, trust_flags=None):
     return sparse_violation(host, edges, l, limit=limit, trust_flags=trust_flags) is None
 
 
+def _greedy_owner(host, functions):
+    """Each edge, in index order, joins the first part it keeps sparse."""
+    m = len(functions)
+    masks = np.arange(1 << host.n, dtype=np.int64)
+    slacks = [l.slack_table(host.n) for l in functions]
+    counts = [np.zeros(1 << host.n, dtype=np.int64) for _ in range(m)]
+    owner = [m] * host.edge_count
+    for e, em in enumerate(host.edge_masks):
+        inside_e = (masks & em) == em
+        for i in range(m):
+            if np.all(counts[i] + inside_e <= slacks[i]):
+                counts[i] += inside_e
+                owner[e] = i
+                break
+    return owner
+
+
 def max_sparse(host, l, *, trust_flags=None):
     """Greedy maximal l-sparse edge set in index order; by the matroid
     property it also has maximum cardinality."""
     ensure_properties(l, _BASE_FLAGS, host.n, trust=trust_flags)
-    slack = l.slack_table(host.n)
-    chosen = []
-    for i in range(host.edge_count):
-        trial = _kernels.as_mask_array(
-            [host.edge_masks[j] for j in chosen] + [host.edge_masks[i]]
-        )
-        if _kernels.sparse_violation(host.n, trial, slack) < 0:
-            chosen.append(i)
-    return EdgeSubset(host, chosen)
+    owner = _greedy_owner(host, [l])
+    return EdgeSubset(host, [e for e, part in enumerate(owner) if part == 0])
 
 
 def basis_size(host, l):

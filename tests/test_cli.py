@@ -237,6 +237,51 @@ def test_failed_basis_recheck_raises_internal_error(files, monkeypatch):
     assert json.loads(out)["error"]["kind"] == "internal"
 
 
+
+def test_extract_postconditions_raise_internal_error(files, monkeypatch):
+    import partition_forge.extract as extract
+    from partition_forge import InternalError, constant, lex_min_excess, min_excess_basis
+    from partition_forge.cli import parse_graph
+
+    k4 = parse_graph(K4_DOC)
+    monkeypatch.setattr(extract, "_enumerate_bases", lambda *a, **kw: iter(()))
+    with pytest.raises(InternalError):
+        min_excess_basis(k4, constant(1), 1)
+    with pytest.raises(InternalError):
+        lex_min_excess(k4, constant(1), None, [2, 1])
+    code, out = run_cli(["witness", "--graph", files["k4"], "--setfn", files["const1"],
+                         "--target", "1", "--format", "json"])
+    assert code == 5
+    assert json.loads(out)["error"]["kind"] == "internal"
+    monkeypatch.undo()
+    monkeypatch.setattr(extract, "min_excess_basis", lambda *a, **kw: (None, 1))
+    with pytest.raises(InternalError):
+        extract.extract_bounded(k4, constant(1), [0, 1, 2, 3], [5] * 4, 0)
+    code, out = run_cli(["extract", "--graph", files["k4"], "--setfn", files["const1"],
+                         "--eta", "5", "--lambda", "0", "--format", "json"])
+    assert code == 5
+    assert json.loads(out)["error"]["kind"] == "internal"
+
+
+def test_orient_postcondition_raises_internal_error(files, monkeypatch, tmp_path):
+    import partition_forge.orient as orient
+    from partition_forge import InternalError, MultiGraph, vertex_bulk
+
+    monkeypatch.setattr(orient, "is_pc", lambda *a, **kw: False)
+    with pytest.raises(InternalError):
+        orient.orient_arc_connected(MultiGraph(3, [(0, 1), (1, 2), (2, 0)]),
+                                    vertex_bulk(1, 0))
+    tri = tmp_path / "tri.json"
+    tri.write_text(json.dumps(
+        {"type": "graph", "n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}
+    ))
+    ell = tmp_path / "ell.json"
+    ell.write_text(json.dumps({"kind": "vertex-bulk", "vertex": 1, "bulk": 0}))
+    code, out = run_cli(["orient", "--graph", str(tri), "--setfn", str(ell),
+                         "--format", "json"])
+    assert code == 5
+    assert json.loads(out)["error"]["kind"] == "internal"
+
 def test_text_format(files):
     code, out = run_cli(["theta", "--graph", files["two"],
                          "--setfn", files["const1"]])

@@ -5,12 +5,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_forge import (
     Basis,
     ConditionViolated,
     DegreeTarget,
     EdgeSubset,
+    Hyperedge,
+    Hypergraph,
     HypothesisViolated,
     Infeasible,
     MultiGraph,
@@ -20,6 +24,7 @@ from partition_forge import (
     constant,
     enumerate_bases,
     extract_bounded,
+    half_degree_pc,
     induced_edge_count,
     is_pc,
     kl_edge_connected,
@@ -34,11 +39,16 @@ from partition_forge import (
     theta,
     theta_without,
     total_excess,
+    vertex_bulk,
+    vertex_weights,
 )
 from partition_forge.bits import bit_list
 from conftest import (
+    brute_cross,
     complete_graph,
     cycle_graph,
+    edge_sets_of,
+    iter_set_partitions,
     path_graph,
     random_connected_multigraph,
     random_multigraph,
@@ -505,3 +515,87 @@ def test_kl_connectivity_checks():
     assert kl_partition_connected(K4, constant(1), 2) is None
     assert kl_partition_connected(C4, constant(1), Fraction(4, 3)) is None
     assert kl_partition_connected(C4, constant(1), 2) is not None
+
+
+@st.composite
+def kl_instances(draw):
+    """A multigraph or rank-3 hypergraph on at most 5 vertices, a demand
+    and a multiplier k."""
+    n = draw(st.integers(2, 5))
+    rank = draw(st.sampled_from([2, 3])) if n >= 3 else 2
+    edges = draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=2, max_size=rank), max_size=10
+    ))
+    host = (
+        Hypergraph(n, [Hyperedge(e) for e in edges]) if rank == 3
+        else MultiGraph(n, [tuple(e) for e in edges])
+    )
+    weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    l = draw(st.sampled_from(
+        [constant(1), constant(2), vertex_bulk(2, 1), vertex_weights(weights)]
+    ))
+    k = draw(st.sampled_from([1, Fraction(3, 2), 2, 3]))
+    return host, l, k
+
+
+def _restricted_growth(blocks, n):
+    """Restricted-growth string of a partition of range(n) (the order of
+    ``enumerate_partitions``)."""
+    block_of = {v: i for i, b in enumerate(blocks) for v in b}
+    label = {}
+    return tuple(label.setdefault(block_of[v], len(label)) for v in range(n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(kl_instances())
+def test_kl_witnesses_match_brute_force(instance):
+    host, l, k = instance
+    n = host.n
+    edge_sets = edge_sets_of(host)
+    everything = frozenset(range(n))
+
+    def lval(block):
+        return l.value(sum(1 << v for v in block))
+
+    # Edge-connectivity: the first mask whose boundary is below k*l(A).
+    first_set = None
+    for a in range(1, (1 << n) - 1):
+        inner = frozenset(v for v in range(n) if a >> v & 1)
+        if brute_cross(edge_sets, [inner, everything - inner]) < k * lval(inner):
+            first_set = a
+            break
+    assert kl_edge_connected(host, l, k) == first_set
+    # Partition-connectivity: the first violating partition in
+    # restricted-growth order.
+    violating = [
+        part for part in iter_set_partitions(range(n))
+        if brute_cross(edge_sets, part) < k * (sum(lval(b) for b in part) - lval(everything))
+    ]
+    got = kl_partition_connected(host, l, k)
+    if not violating:
+        assert got is None
+    else:
+        first = min(violating, key=lambda part: _restricted_growth(part, n))
+        assert got is not None
+        assert sorted(map(sorted, got.blocks_as_lists())) == sorted(map(sorted, first))
+
+
+def test_half_degree_reports_the_first_weak_set():
+    # Each host fails (r*l)-edge-connectivity; the reported set is the
+    # first mask whose boundary is below r*l(A), as kl_edge_connected finds.
+    cases = [
+        (MultiGraph(4, [(0, 1), (0, 2), (0, 3), (2, 3)]), constant(1), 0b0010),
+        # Two triangles joined by the bridge (2, 3).
+        (MultiGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]),
+         constant(1), 0b000111),
+        (Hypergraph(5, [Hyperedge(e) for e in [[0, 1, 2], [0, 1, 3], [0, 2, 3],
+                                               [1, 2, 3], [2, 3, 4], [1, 3, 4]]]),
+         constant(1), 0b01111),
+    ]
+    for host, l, weak in cases:
+        r = host.rank if host.is_hypergraph else 2
+        assert kl_edge_connected(host, l, r) == weak
+        with pytest.raises(HypothesisViolated) as info:
+            half_degree_pc(host, l, 0)
+        assert info.value.clause == "rl-edge-connected"
+        assert info.value.vertex_set == weak

@@ -1,6 +1,7 @@
-"""Kernels against brute force, and the selected path against the fallback
-twins (the same code when numba is absent)."""
+"""Kernels against brute force: each result is compared with a direct
+count or a direct search over the same seeded cases."""
 
+import itertools
 import random
 
 import numpy as np
@@ -100,20 +101,30 @@ def test_partition_table_gives_theta_of_every_induced_sub_host(cases):
             assert g[sub] - inside[sub] == (0 if best is None else best)
 
 
-def test_sparse_and_count_twins(cases):
+def _inside(masks, a):
+    """Edge masks contained in the vertex set a, counted directly."""
+    return sum(1 for em in masks if int(em) & ~a == 0)
+
+
+def test_sparse_and_count_match_direct_counts(cases):
     for k, masks, tab, rng in cases:
         slack = np.asarray([rng.randint(0, 3) for _ in range(1 << k)],
                            dtype=np.int64)
-        assert int(K.sparse_violation(k, masks, slack)) == int(
-            K.py_sparse_violation(k, masks, slack)
+        first_bad = next(
+            (a for a in range(1 << k) if _inside(masks, a) > slack[a]), -1
         )
-        assert list(K.count_inside(k, masks)) == list(K.py_count_inside(k, masks))
+        assert int(K.sparse_violation(k, masks, slack)) == first_bad
         assert list(K.count_inside(k, masks)) == [
-            sum(1 for em in masks if em & ~a == 0) for a in range(1 << k)
+            _inside(masks, a) for a in range(1 << k)
         ]
 
 
-def test_orientation_twins():
+def _in_degree(a, arcs):
+    """Arcs (head, tail) entering the vertex set a, counted directly."""
+    return sum(1 for h, t in arcs if a >> h & 1 and not a >> t & 1)
+
+
+def test_orientation_kernels_match_direct_search():
     rng = random.Random(11)
     for _ in range(20):
         k = rng.randint(2, 4)
@@ -124,19 +135,26 @@ def test_orientation_twins():
         )
         tab = _random_table(rng, k, lo=0, hi=2)
         tab[(1 << k) - 1] = 0
-        a = int(K.find_orientation(k, tails, heads, tab))
-        b = int(K.py_find_orientation(k, tails, heads, tab))
-        assert a == b
-        arc_masks = np.asarray(
-            [(1 << int(t)) | (1 << int(h)) for t, h in zip(tails, heads)],
-            dtype=np.int64,
+        pairs = [(int(t), int(h)) for t, h in zip(tails, heads)]
+
+        def covers(om):
+            # Bit i set: edge i points tails[i] -> heads[i].
+            arcs = [(h, t) if om >> i & 1 else (t, h)
+                    for i, (t, h) in enumerate(pairs)]
+            return all(_in_degree(a, arcs) >= tab[a] for a in range(1 << k))
+
+        first = next((om for om in range(1 << m) if covers(om)), -1)
+        assert int(K.find_orientation(k, tails, heads, tab)) == first
+        arc_masks = np.asarray([(1 << t) | (1 << h) for t, h in pairs],
+                               dtype=np.int64)
+        arcs = [(h, t) for t, h in pairs]
+        first_short = next(
+            (a for a in range(1 << k) if _in_degree(a, arcs) < tab[a]), -1
         )
-        assert int(K.arc_violation(k, heads, arc_masks, tab)) == int(
-            K.py_arc_violation(k, heads, arc_masks, tab)
-        )
+        assert int(K.arc_violation(k, heads, arc_masks, tab)) == first_short
 
 
-def test_assignment_twins(cases):
+def test_assignment_best_matches_product_scan(cases):
     for k, masks, _, rng in cases:
         m = rng.randint(1, 2)
         slacks = np.stack(
@@ -148,18 +166,47 @@ def test_assignment_twins(cases):
         )
         for p in range(m):
             slacks[p][0] = 0
-        a_best, a_assign = K.assignment_best(k, masks, slacks, np.int64(-1))
-        b_best, b_assign = K.py_assignment_best(k, masks, slacks, np.int64(-1))
-        assert int(a_best) == int(b_best)
-        assert list(a_assign) == list(b_assign)
+
+        def sparse(part, p):
+            return all(_inside(part, a) <= slacks[p][a] for a in range(1 << k))
+
+        best, best_assign = -1, None
+        for assign in itertools.product(range(m + 1), repeat=len(masks)):
+            parts = [[em for em, q in zip(masks, assign) if q == p]
+                     for p in range(m)]
+            if not all(sparse(parts[p], p) for p in range(m)):
+                continue
+            used = sum(1 for q in assign if q < m)
+            if used > best:
+                best, best_assign = used, list(assign)
+        got_best, got_assign = K.assignment_best(k, masks, slacks, np.int64(-1))
+        assert int(got_best) == best
+        assert [int(q) for q in got_assign] == best_assign
 
 
-def test_pair_violation_twins(cases):
+def _breaks(tab, a, b, mode):
+    """Whether the pair (a, b) breaks the two-set property of the mode."""
+    if mode == 0:
+        return tab[a & b] + tab[a | b] < tab[a] + tab[b]
+    if mode == 1:
+        return a & b != 0 and tab[a & b] + tab[a | b] < tab[a] + tab[b]
+    if mode == 2:
+        return (a & b != 0 and tab[a] > 0 and tab[b] > 0
+                and tab[a & b] + tab[a | b] < tab[a] + tab[b])
+    if mode == 3:
+        return a & b == 0 and tab[a] + tab[b] < tab[a | b]
+    return a != 0 and a & ~b == 0 and tab[a] < tab[b]
+
+
+def test_pair_violation_matches_row_major_scan(cases):
     for k, _, tab, _ in cases:
         for mode in range(5):
-            a = K.pair_violation(tab, k, mode)
-            b = K.py_pair_violation(tab, k, mode)
-            assert list(a) == list(b)
+            first = next(
+                ([a, b] for a in range(1 << k) for b in range(1 << k)
+                 if _breaks(tab, a, b, mode)),
+                [],
+            )
+            assert [int(x) for x in K.pair_violation(tab, k, mode)] == first
 
 
 def test_empty_edge_sets():

@@ -4,10 +4,14 @@ identities they satisfy."""
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_forge import (
     Disconnected,
     EdgeSubset,
+    Hyperedge,
+    Hypergraph,
     MultiGraph,
     NotPartitionConnected,
     NotSparse,
@@ -332,3 +336,42 @@ def test_removal_bounds_with_forced_subgraph(rng):
                 assert lhs <= base + Fraction(induced_edge_count(fh, s), c - 1)
                 checked_second += 1
     assert checked_first > 200 and checked_second > 50
+
+
+@st.composite
+def greedy_instances(draw):
+    """A multigraph or rank-3 hypergraph on at most 5 vertices and a demand."""
+    n = draw(st.integers(1, 5))
+    rank = draw(st.sampled_from([2, 3])) if n >= 3 else 2
+    edges = [] if n < 2 else draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=2, max_size=rank), max_size=10
+    ))
+    host = (
+        Hypergraph(n, [Hyperedge(e) for e in edges]) if rank == 3
+        else MultiGraph(n, [tuple(e) for e in edges])
+    )
+    weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    l = draw(st.sampled_from(
+        [constant(1), constant(2), vertex_bulk(1, 0), vertex_bulk(2, 1),
+         vertex_weights(weights)]
+    ))
+    return host, l
+
+
+@settings(max_examples=120, deadline=None)
+@given(greedy_instances())
+def test_max_sparse_is_the_index_order_greedy(instance):
+    host, l = instance
+    n = host.n
+    slack = [sum(l.value(1 << v) for v in range(n) if a >> v & 1) - l.value(a)
+             for a in range(1 << n)]
+
+    def sparse(masks):
+        return all(sum(1 for em in masks if em & ~a == 0) <= slack[a]
+                   for a in range(1 << n))
+
+    chosen = []
+    for i, em in enumerate(host.edge_masks):
+        if sparse([host.edge_masks[j] for j in chosen] + [em]):
+            chosen.append(i)
+    assert sorted(max_sparse(host, l).members) == chosen
