@@ -12,6 +12,9 @@ All thresholds are exact rationals; ceilings never touch floating point.
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
+from . import _kernels
 from .bits import as_mask, bit_list, mask_of
 from .errors import (
     ConditionViolated,
@@ -24,12 +27,11 @@ from .errors import (
 from .hosts import (
     EdgeSubset,
     boundary_count,
-    cross_edges,
-    enumerate_partitions,
     induced_edge_count,
+    partition_from_labels,
     spanning_host,
 )
-from .limits import EDGE_SEARCH_LIMIT, check
+from .limits import EDGE_SEARCH_LIMIT, PARTITION_ENUM_LIMIT, SUBSET_LIMIT, check
 from .setfn import ceil_fraction, ensure_properties
 from .sparse import Basis, _enumerate_bases, e_star_table
 from .theta import pc_components, theta_restricted, theta_without
@@ -94,18 +96,28 @@ def min_excess_basis(graph, l, target, forced=None, *, trust_flags=None):
     Returns ``(basis, total_excess)``.
     """
     t = DegreeTarget.of(target, graph.n).resolve(graph)
+    best, (best_te,) = _first_min_basis(graph, l, forced, [t], trust_flags)
+    return best, best_te
+
+
+def _first_min_basis(graph, l, forced, resolved, trust_flags):
+    """First basis, in enumeration order, whose vector of total excesses
+    against the resolved targets is lexicographically smallest; returns
+    ``(basis, vector)``.  An all-zero vector cannot be beaten, so the scan
+    stops there."""
     forced_members = frozenset() if forced is None else frozenset(forced)
     best = None
-    best_te = None
+    best_vec = None
     for basis in _enumerate_bases(graph, l, forced_members, trust_flags=trust_flags):
-        te = _te_of_degrees(basis.edges.degrees(), t)
-        if best_te is None or te < best_te:
-            best, best_te = basis, te
-            if te == 0:
+        degs = basis.edges.degrees()
+        vec = tuple(_te_of_degrees(degs, t) for t in resolved)
+        if best_vec is None or vec < best_vec:
+            best, best_vec = basis, vec
+            if not any(vec):
                 break
     if best is None:
         raise InternalError("partition-connected host yielded no basis")
-    return best, best_te
+    return best, best_vec
 
 
 def structure_witness(graph, l, target, basis, *, forced=None, equality=False,
@@ -269,24 +281,41 @@ def extract_bounded(graph, l, x_set, eta, lam, *, trust_flags=None):
 
 
 def kl_edge_connected(graph, l, k):
-    """Violating vertex set (mask) if some nonempty proper set A has
-    fewer than k*l(A) boundary edges, else None."""
+    """First violating vertex set (mask) if some nonempty proper set A has
+    fewer than k*l(A) boundary edges, else None.
+
+    With i(X) the number of edges inside X, the boundary of A is
+    ``i(V) - i(A) - i(V - A)``, read from one inside-count table; for
+    k = p/q the test is ``q * boundary < p * l(A)``.
+    """
+    check(graph.n, SUBSET_LIMIT, "vertex count")
     k = Fraction(k)
-    for a in range(1, graph.full_mask):
-        if boundary_count(graph, a) < k * l.value(a):
-            return a
-    return None
+    full = graph.full_mask
+    inside = _kernels.count_inside(graph.n, _kernels.as_mask_array(graph.edge_masks))
+    a = np.arange(1, full, dtype=np.int64)
+    boundary = inside[full] - inside[a] - inside[full ^ a]
+    bad = np.nonzero(k.denominator * boundary < k.numerator * l.table(graph.n)[a])[0]
+    return int(a[bad[0]]) if bad.size else None
 
 
 def kl_partition_connected(host, l, k, *, trust_flags=None):
-    """Violating partition if some P has fewer than
-    ``k*(sum l(A) - l(V))`` crossing edges, else None."""
+    """A violating partition of maximum violation if some P has fewer
+    than ``k*(sum l(A) - l(V))`` crossing edges, else None.
+
+    For k = p/q and e(P) = i(V) - sum i(A), P violates exactly when
+    ``sum_A (p*l(A) + q*i(A)) > p*l(V) + q*i(V)``: one partition table
+    with block weight ``p*l + (q-1)*i`` (the table adds i itself).
+    """
+    check(host.n, PARTITION_ENUM_LIMIT, "vertex count")
     k = Fraction(k)
-    for p in enumerate_partitions(host.full_mask):
-        need = k * (sum(l.value(b) for b in p.blocks) - l.value(host.full_mask))
-        if cross_edges(host, p) < need:
-            return p
-    return None
+    ems = _kernels.as_mask_array(host.edge_masks)
+    w = k.numerator * l.table(host.n) + (k.denominator - 1) * _kernels.count_inside(
+        host.n, ems
+    )
+    _, labels, exceeded = _kernels.partition_scan(host.n, ems, w, w[-1])
+    if not exceeded:
+        return None
+    return partition_from_labels(labels, list(range(host.n)), host.full_mask)
 
 
 def preset_eta(graph, l, k, connectivity="edge-connected", independent=False, *,
@@ -475,14 +504,5 @@ def lex_min_excess(graph, l, forced, targets, *, trust_flags=None):
     for a, b in zip(resolved, resolved[1:]):
         if any(x < y for x, y in zip(a, b)):
             raise ValidationError("degree targets must be pointwise nonincreasing")
-    forced_members = frozenset() if forced is None else frozenset(forced)
-    best = None
-    best_vec = None
-    for basis in _enumerate_bases(graph, l, forced_members, trust_flags=trust_flags):
-        degs = basis.edges.degrees()
-        vec = tuple(_te_of_degrees(degs, t) for t in resolved)
-        if best_vec is None or vec < best_vec:
-            best, best_vec = basis, vec
-    if best is None:
-        raise InternalError("partition-connected host yielded no basis")
+    best, _ = _first_min_basis(graph, l, forced, resolved, trust_flags)
     return best.edges

@@ -136,7 +136,7 @@ class Hypergraph:
         return tuple(self.degree(v) for v in range(self.n))
 
     def is_directed(self):
-        return all(h is not None for h in self.heads) and self.hyperedges
+        return all(h is not None for h in self.heads)
 
     def to_multigraph(self):
         """Convert a rank-2 hypergraph to a multigraph (heads dropped)."""

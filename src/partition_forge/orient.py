@@ -13,7 +13,7 @@ from math import ceil, floor
 import numpy as np
 
 from . import _kernels
-from .bits import bit_count, bit_list, mask_of
+from .bits import bit_count, bit_list
 from .errors import (
     ConditionViolated,
     InternalError,
@@ -27,8 +27,6 @@ from .hosts import (
     Hyperedge,
     Hypergraph,
     Orientation,
-    enumerate_partitions,
-    cross_edges,
     spanning_host,
 )
 from .limits import ORIENTATION_EDGE_LIMIT, check
@@ -286,13 +284,37 @@ def _protected(vertices, head):
     return head if head is not None else min(vertices)
 
 
+def _trim(host, keeps):
+    """Shrink every hyperedge of size three or more to a pair, one vertex
+    at a time: drop the first vertex in sorted order (never the head, or
+    the smallest vertex of a headless hyperedge) whose removal leaves a
+    host on which ``keeps`` holds."""
+    hes = [(list(he.vertices), he.head) for he in host.hyperedges]
+
+    def build():
+        return Hypergraph(host.n, [Hyperedge(v, h) for v, h in hes])
+
+    for idx in range(len(hes)):
+        while len(hes[idx][0]) > 2:
+            verts, head = hes[idx]
+            keep = _protected(verts, head)
+            for x in sorted(v for v in verts if v != keep):
+                hes[idx] = ([v for v in verts if v != x], head)
+                if keeps(build()):
+                    break
+            else:
+                raise InternalError("no vertex removal preserved the trimmed property")
+    return build()
+
+
 def trim_pc(host, l, *, trust_flags=None):
     """Trim every hyperedge down to size two while preserving
     l-partition-connectivity; heads are kept.
 
-    When dropping the first candidate vertex breaks connectivity, a tight
-    partition pins the candidate down and a vertex from the tight block
-    is dropped instead; every step is re-verified.
+    Let x be the first candidate of a hyperedge Z.  When dropping x breaks
+    connectivity, a tight partition has a block B with Z - {x} inside B,
+    so the next candidate lies in B and dropping it keeps connectivity;
+    every step is re-verified.
     """
     ensure_properties(
         l, ("intersecting-supermodular", "weakly-subadditive"), host.n,
@@ -301,45 +323,7 @@ def trim_pc(host, l, *, trust_flags=None):
     witness = pc_violation(host, l, trust_flags=True)
     if witness is not None:
         raise NotPartitionConnected("host is not l-partition-connected", witness)
-    hes = [(list(he.vertices), he.head) for he in host.hyperedges]
-
-    def build():
-        return Hypergraph(host.n, [Hyperedge(v, h) for v, h in hes])
-
-    lv = l.value(host.full_mask)
-    for idx in range(len(hes)):
-        while len(hes[idx][0]) > 2:
-            verts, head = hes[idx]
-            keep = _protected(verts, head)
-            candidates = sorted(v for v in verts if v != keep)
-            x = candidates[0]
-            trial = [v for v in verts if v != x]
-            hes[idx] = (trial, head)
-            if pc_violation(build(), l, trust_flags=True) is None:
-                continue
-            hes[idx] = (verts, head)
-            current = build()
-            zmask = mask_of(verts)
-            tight_block = None
-            for p in enumerate_partitions(host.full_mask):
-                value = sum(l.value(b) for b in p.blocks) - lv
-                if cross_edges(current, p) != value:
-                    continue
-                for b in p.blocks:
-                    if zmask & ~b == (1 << x):
-                        tight_block = b
-                        break
-                if tight_block is not None:
-                    break
-            if tight_block is None:
-                raise InternalError(
-                    "a failed removal had no tight partition isolating it"
-                )
-            y = min(v for v in verts if (1 << v) & tight_block and v != keep)
-            hes[idx] = ([v for v in verts if v != y], head)
-            if pc_violation(build(), l, trust_flags=True) is not None:
-                raise InternalError("tight-block removal broke connectivity")
-    return build()
+    return _trim(host, lambda h: pc_violation(h, l, trust_flags=True) is None)
 
 
 def trim_sparse(host, l, *, trust_flags=None):
@@ -352,30 +336,8 @@ def trim_sparse(host, l, *, trust_flags=None):
     bad = sparse_violation(host, range(host.edge_count), l, trust_flags=True)
     if bad is not None:
         raise NotSparse("host is not l-sparse", vertex_set=bad)
-    hes = [(list(he.vertices), he.head) for he in host.hyperedges]
-
-    def build():
-        return Hypergraph(host.n, [Hyperedge(v, h) for v, h in hes])
-
-    def all_sparse(h2):
-        return (
-            sparse_violation(h2, range(h2.edge_count), l, trust_flags=True) is None
-        )
-
-    for idx in range(len(hes)):
-        while len(hes[idx][0]) > 2:
-            verts, head = hes[idx]
-            keep = _protected(verts, head)
-            done = False
-            for x in sorted(v for v in verts if v != keep):
-                hes[idx] = ([v for v in verts if v != x], head)
-                if all_sparse(build()):
-                    done = True
-                    break
-                hes[idx] = (verts, head)
-            if not done:
-                raise InternalError("no removal preserved sparseness")
-    return build()
+    return _trim(host, lambda h: sparse_violation(
+        h, range(h.edge_count), l, trust_flags=True) is None)
 
 
 def trim_arc(host, l, *, trust_flags=None):
@@ -391,21 +353,4 @@ def trim_arc(host, l, *, trust_flags=None):
     bad = arc_connectivity_violation(host, l)
     if bad is not None:
         raise NotArcConnected("host is not l-arc-connected", vertex_set=bad)
-    hes = [(list(he.vertices), he.head) for he in host.hyperedges]
-
-    def build():
-        return Hypergraph(host.n, [Hyperedge(v, h) for v, h in hes])
-
-    for idx in range(len(hes)):
-        while len(hes[idx][0]) > 2:
-            verts, head = hes[idx]
-            done = False
-            for x in sorted(v for v in verts if v != head):
-                hes[idx] = ([v for v in verts if v != x], head)
-                if arc_connectivity_violation(build(), l) is None:
-                    done = True
-                    break
-                hes[idx] = (verts, head)
-            if not done:
-                raise InternalError("no removal preserved arc-connectivity")
-    return build()
+    return _trim(host, lambda h: arc_connectivity_violation(h, l) is None)

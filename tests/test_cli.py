@@ -282,6 +282,30 @@ def test_orient_postcondition_raises_internal_error(files, monkeypatch, tmp_path
     assert code == 5
     assert json.loads(out)["error"]["kind"] == "internal"
 
+
+def test_trim_failure_exits_5(files, monkeypatch):
+    import partition_forge.orient as orient
+
+    real = orient._trim
+    monkeypatch.setattr(orient, "_trim", lambda host, keeps: real(host, lambda h: False))
+    code, out = run_cli(["trim", "--hypergraph", files["hyper"],
+                         "--setfn", files["const1"], "--goal", "sparse",
+                         "--format", "json"])
+    assert code == 5
+    assert json.loads(out)["error"]["kind"] == "internal"
+
+
+def test_trim_arc_on_an_edgeless_file(tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"type": "hypergraph", "n": 3, "hyperedges": []}))
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"kind": "constant", "value": 0}))
+    code, out = run_cli(["trim", "--hypergraph", str(empty), "--setfn", str(zero),
+                         "--goal", "arc", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["trimmed"] == {"type": "hypergraph", "n": 3, "hyperedges": []}
+
+
 def test_text_format(files):
     code, out = run_cli(["theta", "--graph", files["two"],
                          "--setfn", files["const1"]])

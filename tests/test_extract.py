@@ -17,6 +17,7 @@ from partition_forge import (
     Hypergraph,
     HypothesisViolated,
     Infeasible,
+    LimitExceeded,
     MultiGraph,
     NoWitness,
     check_main_condition,
@@ -43,6 +44,7 @@ from partition_forge import (
     vertex_weights,
 )
 from partition_forge.bits import bit_list
+from partition_forge.limits import PARTITION_ENUM_LIMIT, SUBSET_LIMIT
 from conftest import (
     brute_cross,
     complete_graph,
@@ -538,14 +540,6 @@ def kl_instances(draw):
     return host, l, k
 
 
-def _restricted_growth(blocks, n):
-    """Restricted-growth string of a partition of range(n) (the order of
-    ``enumerate_partitions``)."""
-    block_of = {v: i for i, b in enumerate(blocks) for v in b}
-    label = {}
-    return tuple(label.setdefault(block_of[v], len(label)) for v in range(n))
-
-
 @settings(max_examples=120, deadline=None)
 @given(kl_instances())
 def test_kl_witnesses_match_brute_force(instance):
@@ -565,19 +559,30 @@ def test_kl_witnesses_match_brute_force(instance):
             first_set = a
             break
     assert kl_edge_connected(host, l, k) == first_set
-    # Partition-connectivity: the first violating partition in
-    # restricted-growth order.
-    violating = [
-        part for part in iter_set_partitions(range(n))
-        if brute_cross(edge_sets, part) < k * (sum(lval(b) for b in part) - lval(everything))
-    ]
+
+    # Partition-connectivity: the verdict, and a witness of maximum
+    # violation k*(sum l(A) - l(V)) - e(P).
+    def violation(blocks):
+        need = k * (sum(lval(b) for b in blocks) - lval(everything))
+        return need - brute_cross(edge_sets, blocks)
+
+    worst = max(violation(part) for part in iter_set_partitions(range(n)))
     got = kl_partition_connected(host, l, k)
-    if not violating:
+    if worst <= 0:
         assert got is None
     else:
-        first = min(violating, key=lambda part: _restricted_growth(part, n))
         assert got is not None
-        assert sorted(map(sorted, got.blocks_as_lists())) == sorted(map(sorted, first))
+        assert violation(got.blocks_as_lists()) == worst
+
+
+def test_kl_checks_refuse_above_their_limits():
+    with pytest.raises(LimitExceeded, match="vertex count 13 exceeds limit 12"):
+        kl_partition_connected(path_graph(PARTITION_ENUM_LIMIT + 1), constant(1), 1)
+    with pytest.raises(LimitExceeded, match="vertex count 17 exceeds limit 16"):
+        kl_edge_connected(path_graph(SUBSET_LIMIT + 1), constant(1), 1)
+    # At the limits both still answer.
+    assert kl_partition_connected(path_graph(PARTITION_ENUM_LIMIT), constant(1), 1) is None
+    assert kl_edge_connected(path_graph(SUBSET_LIMIT), constant(1), 1) is None
 
 
 def test_half_degree_reports_the_first_weak_set():

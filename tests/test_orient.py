@@ -3,12 +3,15 @@
 from math import ceil, floor
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from partition_forge import (
     ConditionViolated,
     DegreeTarget,
     Hyperedge,
     Hypergraph,
+    InternalError,
     MultiGraph,
     NotArcConnected,
     NotPartitionConnected,
@@ -28,9 +31,11 @@ from partition_forge import (
     trim_pc,
     trim_sparse,
     vertex_bulk,
+    vertex_weights,
 )
 from conftest import (
     all_multigraphs,
+    brute_is_pc,
     complete_graph,
     cycle_graph,
     random_connected_multigraph,
@@ -279,3 +284,82 @@ def test_trim_sparse_random(rng):
         for he, src in zip(t.hyperedges, h.hyperedges):
             assert set(he.vertices) <= set(src.vertices)
             assert he.head == src.head
+
+
+@st.composite
+def pc_hypergraphs(draw):
+    """A hypergraph of rank at most 4 on at most 6 vertices, headed or
+    not, and a demand for which it is partition-connected (brute force)."""
+    n = draw(st.integers(3, 6))
+    weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    l = draw(st.sampled_from([constant(1), constant(2), vertex_bulk(2, 1),
+                              vertex_bulk(1, 0), vertex_weights(weights)]))
+
+    def lval(block):
+        return l.value(sum(1 << v for v in block))
+
+    hyperedges = []
+    for _ in range(draw(st.integers(1, 14))):
+        verts = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4,
+                              unique=True))
+        head = draw(st.sampled_from([None] + verts))
+        hyperedges.append((verts, head))
+        if brute_is_pc(n, [frozenset(v) for v, _ in hyperedges], lval):
+            break
+    assume(brute_is_pc(n, [frozenset(v) for v, _ in hyperedges], lval))
+    return n, hyperedges, l, lval
+
+
+@settings(max_examples=80, deadline=None)
+@given(pc_hypergraphs())
+def test_trim_pc_matches_brute_force_first_candidate(instance):
+    # Oracle: shrink each hyperedge in order by dropping the first vertex
+    # in sorted order (never the head, or the smallest vertex when there
+    # is none) whose removal keeps the host partition-connected.
+    n, hyperedges, l, lval = instance
+    hes = [(sorted(v), h) for v, h in hyperedges]
+    for idx in range(len(hes)):
+        while len(hes[idx][0]) > 2:
+            verts, head = hes[idx]
+            keep = head if head is not None else verts[0]
+            candidates = [v for v in verts if v != keep]
+            for pos, x in enumerate(candidates):
+                trial = [v for v in verts if v != x]
+                edge_sets = [frozenset(trial if j == idx else v)
+                             for j, (v, _) in enumerate(hes)]
+                if brute_is_pc(n, edge_sets, lval):
+                    break
+            else:
+                pytest.fail("no candidate keeps the host partition-connected")
+            # A tight partition pins any failed first candidate down, and
+            # then the second candidate always works.
+            assert pos <= 1
+            hes[idx] = (trial, head)
+    expected = Hypergraph(n, [Hyperedge(v, h) for v, h in hes])
+    host = Hypergraph(n, [Hyperedge(v, h) for v, h in hyperedges])
+    assert trim_pc(host, l) == expected
+
+
+def test_trim_failure_raises_internal_error(monkeypatch):
+    import partition_forge.orient as orient
+
+    # Force the shared loop's check to fail on every candidate.
+    real = orient._trim
+    monkeypatch.setattr(orient, "_trim", lambda host, keeps: real(host, lambda h: False))
+    with pytest.raises(InternalError):
+        trim_pc(Hypergraph(3, [Hyperedge([0, 1, 2]), Hyperedge([0, 1, 2])]), constant(1))
+    with pytest.raises(InternalError):
+        trim_sparse(Hypergraph(3, [Hyperedge([0, 1, 2], head=0)]), constant(1))
+    with pytest.raises(InternalError):
+        trim_arc(Hypergraph(3, [Hyperedge([0, 1, 2], head=1)]), constant(0))
+    # Pairs need no trimming, so the check is never asked.
+    pairs = Hypergraph(3, [Hyperedge([0, 1]), Hyperedge([1, 2])])
+    assert trim_pc(pairs, constant(1)) == pairs
+
+
+def test_trim_arc_accepts_an_edgeless_host():
+    empty = Hypergraph(3, [])
+    assert empty.is_directed() is True
+    assert Hypergraph(3, [Hyperedge([0, 1], head=0)]).is_directed() is True
+    assert Hypergraph(3, [Hyperedge([0, 1], head=0), Hyperedge([1, 2])]).is_directed() is False
+    assert trim_arc(empty, constant(0)) == empty
