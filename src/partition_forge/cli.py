@@ -103,11 +103,16 @@ def _load(path):
 
 
 def load_host(args):
+    """The host file of the command, refused before any work when it has
+    more vertices than an explicit ``--max-n``/``--max-partitions``."""
     if getattr(args, "graph", None):
-        return parse_graph(_load(args.graph))
-    if getattr(args, "hypergraph", None):
-        return parse_hypergraph(_load(args.hypergraph))
-    raise ValidationError("a --graph or --hypergraph file is required")
+        host = parse_graph(_load(args.graph))
+    elif getattr(args, "hypergraph", None):
+        host = parse_hypergraph(_load(args.hypergraph))
+    else:
+        raise ValidationError("a --graph or --hypergraph file is required")
+    limits_mod.check(host.n, getattr(args, "host_limit", None), "vertex count")
+    return host
 
 
 def load_setfns(args, host=None):
@@ -471,6 +476,8 @@ def main(argv=None):
     fmt = args.format
     try:
         _check_partition_budget(args)
+        # Only a limit the user passed bounds every command's host.
+        args.host_limit = args.max_n
         if args.max_n is None:
             args.max_n = limits_mod.PARTITION_ENUM_LIMIT
         result = COMMANDS[args.command](args)

@@ -4,10 +4,13 @@ The central object is a family of pairwise edge-disjoint parts, part i
 being l_i-sparse.  Each l_i-sparse edge set is independent in a count
 matroid, so a maximum family is a matroid partition (J. Edmonds, 1965).
 Greedy insertion starts it; shortest augmenting paths in the exchange
-graph on edges then grow it to the optimum.  Independence is one
-comparison of a part's inside-count table with the slack table, and the
+graph on edges then grow it to the optimum.  Each search counts a part's
+edges once, in the cached :meth:`~partition_forge.hosts.EdgeSubset.inside_counts`
+of the part.  Independence is one comparison of an edge's row of the
+edge-in-set matrix with the part's room ``slack - counts``, and the
 circuit an edge closes in a part is the part's edges inside the minimal
-tight set containing it (:func:`~partition_forge.sparse.min_pc_subgraph`).
+tight set containing it (:func:`~partition_forge.sparse.min_pc_subgraph`,
+which reads the same cached counts).
 When no augmenting path is left, the vertex components of the edges the
 search reached form the witness partition that certifies maximality; its
 defining properties are re-verified before it is returned.  On instances
@@ -35,10 +38,10 @@ from .errors import (
     ValidationError,
 )
 from .extract import kl_edge_connected
-from .hosts import EdgeSubset, Partition, spanning_host
+from .hosts import EdgeSubset, Partition
 from .limits import ASSIGNMENT_ORACLE_STATES, PARTITION_ENUM_LIMIT, check
 from .setfn import ensure_properties, fn_sum, vertex_bulk, vertex_weights
-from .sparse import _greedy_owner, basis_size, min_pc_subgraph
+from .sparse import _containment, _greedy_owner, basis_size, min_pc_subgraph
 from .theta import pc_violation, theta_without
 
 _PACK_FLAGS = ("intersecting-supermodular", "subadditive")
@@ -89,8 +92,13 @@ class Decomposition:
 
 
 def _part_is_pc(host, members, l):
-    sub = spanning_host(host, members)
-    return pc_violation(sub, l, trust_flags=True) is None
+    """Recheck: the member edges span an l-partition-connected subgraph,
+    ``g[V] - inside[V] == l(V)`` in one partition table on the host's own
+    vertex labels."""
+    ltab = l.table(host.n)
+    ems = _kernels.as_mask_array(host.edge_masks[i] for i in sorted(members))
+    g, inside = _kernels.partition_table(host.n, ems, ltab)
+    return bool(g[-1] - inside[-1] == ltab[-1])
 
 
 def assignment_optimum(host, functions, *, cap=None):
@@ -111,13 +119,16 @@ def assignment_optimum(host, functions, *, cap=None):
     return int(best), SparseFamily(host, parts, functions)
 
 
-def _augment(host, functions, owner):
+def _augment(host, functions, owner, contains):
     """One breadth-first search of the exchange graph on edges.
 
     ``owner[e]`` is the part holding edge e, ``len(functions)`` when e is
-    uncovered; the search starts from the uncovered edges.  An edge e
-    moves straight into a part i not holding it when part i plus e stays
-    sparse; otherwise it may replace any edge of part i inside the
+    uncovered; the search starts from the uncovered edges.  ``contains``
+    is the host's edge-in-set matrix (``sparse._containment``).  Each part
+    is one :class:`EdgeSubset`, whose inside counts are computed once and
+    read both for the room ``slack - counts`` and by every circuit query.
+    An edge e moves straight into a part i not holding it when e fits the
+    room of part i; otherwise it may replace any edge of part i inside the
     minimal tight set of part i that contains e (the circuit e closes).
     The first straight move ends a shortest augmenting path, which is
     applied to ``owner`` in place, and None is returned.  Without a path,
@@ -125,30 +136,30 @@ def _augment(host, functions, owner):
     """
     m = len(functions)
     ems = host.edge_masks
-    masks = np.arange(1 << host.n, dtype=np.int64)
-    slacks = [l.slack_table(host.n) for l in functions]
-    members = [[e for e in range(host.edge_count) if owner[e] == i] for i in range(m)]
-    counts = [
-        _kernels.count_inside(host.n, _kernels.as_mask_array(ems[f] for f in part))
-        for part in members
+    parts = [
+        EdgeSubset(host, [e for e in range(host.edge_count) if owner[e] == i])
+        for i in range(m)
+    ]
+    rooms = [
+        l.slack_table(host.n) - part.inside_counts()
+        for l, part in zip(functions, parts)
     ]
     parent = {e: None for e in range(host.edge_count) if owner[e] == m}
     queue = deque(parent)
     while queue:
         e = queue.popleft()
-        inside_e = (masks & ems[e]) == ems[e]
         for i in range(m):
             if owner[e] == i:
                 continue
-            if np.all(counts[i] + inside_e <= slacks[i]):
+            if np.all(contains[e] <= rooms[i]):
                 while e is not None:
                     owner[e], i = i, owner[e]
                     e = parent[e]
                 return None
             tight = min_pc_subgraph(
-                EdgeSubset(host, members[i]), functions[i], ems[e], trust_flags=True
+                parts[i], functions[i], ems[e], trust_flags=True
             ).vertices
-            for f in members[i]:
+            for f in parts[i]:
                 if f not in parent and ems[f] & ~tight == 0:
                     parent[f] = e
                     queue.append(f)
@@ -182,10 +193,10 @@ def max_sparse_family(host, functions, *, method="auto", trust_flags=None):
         return family
     # Greedy insertion alone often reaches the coverage cap, which is an
     # upper bound on any family; no search is needed then.
-    owner = _greedy_owner(host, functions)
+    owner, contains = _greedy_owner(host, functions)
     covered = sum(1 for a in owner if a < m)
     if covered < cap:
-        while covered < cap and _augment(host, functions, owner) is None:
+        while covered < cap and _augment(host, functions, owner, contains) is None:
             covered += 1
         if method == "auto" and (m + 1) ** host.edge_count <= ASSIGNMENT_ORACLE_STATES:
             _, family = assignment_optimum(host, functions, cap=covered)
@@ -208,7 +219,9 @@ def witness_partition(host, family):
     these imply no larger family exists; verification failure means the
     family was not maximum.
     """
-    reached = _augment(host, family.functions, list(family.assignment()))
+    reached = _augment(
+        host, family.functions, list(family.assignment()), _containment(host)
+    )
     if reached is None:
         raise FamilyNotMaximal("an augmenting path exists")
     parent = list(range(host.n))

@@ -7,6 +7,7 @@ function, so concurrent use is safe.  Vertex sets are bit masks (see
 position in the edge sequence.
 """
 
+from . import _kernels
 from .bits import as_mask, bit_count, bit_list, low_bit_index, mask_of
 from .errors import LimitExceeded, MalformedPartition, ValidationError
 from .limits import PARTITION_ENUM_LIMIT
@@ -218,7 +219,11 @@ class Partition:
 
 
 class EdgeSubset:
-    """Subset of a host's edge indices (a spanning subgraph)."""
+    """Subset of a host's edge indices (a spanning subgraph).
+
+    The subset never changes, so its inside-count table is computed once
+    and shared by every reader (:meth:`inside_counts`).
+    """
 
     def __init__(self, host, members):
         members = frozenset(int(i) for i in members)
@@ -227,6 +232,7 @@ class EdgeSubset:
                 raise ValidationError(f"edge index {i} out of range")
         self.host = host
         self.members = members
+        self._inside = None
 
     @classmethod
     def full(cls, host):
@@ -241,6 +247,17 @@ class EdgeSubset:
 
     def masks(self):
         return [self.host.edge_masks[i] for i in self.indices()]
+
+    def inside_counts(self):
+        """``counts[A]`` = member edges inside vertex set A, for every mask
+        A over the host's vertices (cached and read-only)."""
+        if self._inside is None:
+            counts = _kernels.count_inside(
+                self.host.n, _kernels.as_mask_array(self.masks())
+            )
+            counts.flags.writeable = False
+            self._inside = counts
+        return self._inside
 
     def degree(self, v):
         bit = 1 << v

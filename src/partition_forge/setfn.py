@@ -4,7 +4,9 @@ property flags and exhaustive validators.
 A :class:`SetFunction` maps bit masks to integers and is zero on the
 empty set.  Most built-in families are arity-free (they work over any
 ground set); table-backed functions carry a fixed arity.  Negative values
-are permitted -- only the flags constrain sign.
+are permitted -- only the flags constrain sign.  The built-in families and
+their compositions build their ``2**n`` value tables with NumPy; a
+function made from any other callable is tabulated one mask at a time.
 
 Two property names are *interpreted*: the defining inequalities for
 ``element-nonincreasing`` and ``positively-intersecting-supermodular``
@@ -56,6 +58,16 @@ _SHIFT_CLOSED = frozenset(
 )
 
 
+def _mask_sums(n, weights):
+    """``sums[A] = sum of weights[v] for v in A`` over ``0..n-1``, as an
+    int64 array indexed by mask."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    sums = np.zeros(1 << n, dtype=np.int64)
+    for v in range(n):
+        sums += weights[v] * ((masks >> v) & 1)
+    return sums
+
+
 class SetFunction:
     """Integer function on vertex subsets with ``l(empty) = 0``."""
 
@@ -73,6 +85,9 @@ class SetFunction:
         # Flags that hold by construction; ensure_properties skips the
         # exhaustive run when every needed flag is among them.
         self._proven = frozenset()
+        # Optional NumPy builder of the whole table over 0..n-1; without
+        # one, _tabulate evaluates the function once per mask.
+        self._builder = None
         self._tables = {}
         self._reports = {}
 
@@ -91,20 +106,22 @@ class SetFunction:
         if n not in self._tables:
             if n > 24:
                 raise LimitExceeded(f"table for n={n} would be too large")
-            self._tables[n] = np.fromiter(
-                (self._fn(m) for m in range(1 << n)), dtype=np.int64, count=1 << n
-            )
+            self._tables[n] = self._tabulate(n)
         return self._tables[n]
+
+    def _tabulate(self, n):
+        """Fresh (uncached) table over ``0..n-1``."""
+        if self._builder is not None:
+            return self._builder(n)
+        return np.fromiter(
+            (self._fn(m) for m in range(1 << n)), dtype=np.int64, count=1 << n
+        )
 
     def singleton_sum_table(self, n):
         """``sums[A] = sum of l({v}) for v in A`` as an int64 array."""
         key = ("sum", n)
         if key not in self._tables:
-            masks = np.arange(1 << n, dtype=np.int64)
-            sums = np.zeros(1 << n, dtype=np.int64)
-            for v in range(n):
-                sums += np.where((masks >> v) & 1 == 1, self._fn(1 << v), 0)
-            self._tables[key] = sums
+            self._tables[key] = _mask_sums(n, [self._fn(1 << v) for v in range(n)])
         return self._tables[key]
 
     def slack_table(self, n):
@@ -122,6 +139,7 @@ class SetFunction:
             self._fn, n=self.n, flags=self.flags | set(names), name=self.name
         )
         out._proven = self._proven
+        out._builder = self._builder
         return out
 
     def __add__(self, other):
@@ -167,6 +185,12 @@ def vertex_bulk(vertex_value, bulk_value, name=None):
         flags.add("positively-intersecting-supermodular")
     out = SetFunction(fn, flags=flags, name=name or f"vertex_bulk({vv},{bb})")
     out._proven = out.flags
+
+    def build(n):
+        sizes = _mask_sums(n, [1] * n)
+        return np.where(sizes == 1, vv, np.where(sizes == 0, 0, bb)).astype(np.int64)
+
+    out._builder = build
     return out
 
 
@@ -208,6 +232,13 @@ def vertex_weights(values, name=None):
         fn, n=len(values), flags=flags, name=name or f"vertex_weights{values}"
     )
     out._proven = out.flags
+
+    def build(n):
+        tab = np.zeros(1 << n, dtype=np.int64)
+        tab[[1 << v for v in range(n)]] = values[:n]
+        return tab
+
+    out._builder = build
     return out
 
 
@@ -232,7 +263,19 @@ def table(n, entries, default=None, flags=()):
     def fn(mask):
         return values.get(mask, default)
 
-    return SetFunction(fn, n=n, flags=flags, name=f"table(n={n})")
+    keys = np.fromiter(values, dtype=np.int64, count=len(values))
+    vals = np.fromiter(values.values(), dtype=np.int64, count=len(values))
+
+    def build(k):
+        # Every mask below 2**k has an entry when there is no default.
+        tab = np.full(1 << k, 0 if default is None else default, dtype=np.int64)
+        below = keys < (1 << k)
+        tab[keys[below]] = vals[below]
+        return tab
+
+    out = SetFunction(fn, n=n, flags=flags, name=f"table(n={n})")
+    out._builder = build
+    return out
 
 
 def fn_sum(*fns):
@@ -257,6 +300,7 @@ def fn_sum(*fns):
         name="+".join(f.name for f in fns),
     )
     out._proven = flags.intersection(*(f._proven for f in fns))
+    out._builder = lambda n: sum(f.table(n) for f in fns)
     return out
 
 
@@ -272,6 +316,7 @@ def scale(beta, fn):
         name=f"{beta}*{fn.name}",
     )
     out._proven = fn._proven
+    out._builder = lambda n: beta * fn.table(n)
     return out
 
 
@@ -291,12 +336,14 @@ def rooted_shift(fn, roots):
     def shifted(mask):
         return inner(mask) - sum(roots[v] for v in bit_list(mask))
 
-    return SetFunction(
+    out = SetFunction(
         shifted,
         n=len(roots),
         flags=fn.flags & _SHIFT_CLOSED,
         name=f"{fn.name}-roots",
     )
+    out._builder = lambda n: fn.table(n) - _mask_sums(n, roots)
+    return out
 
 
 class PropertyCheck:

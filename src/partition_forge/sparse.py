@@ -67,34 +67,48 @@ def is_sparse(host, edges, l, *, limit=SUBSET_LIMIT, trust_flags=None):
     return sparse_violation(host, edges, l, limit=limit, trust_flags=trust_flags) is None
 
 
-def _greedy_owner(host, functions):
-    """Each edge, in index order, joins the first part it keeps sparse."""
-    m = len(functions)
+def _containment(host):
+    """``contains[e, A]``: edge e lies inside vertex set A (an E x 2**n
+    bool array)."""
     masks = np.arange(1 << host.n, dtype=np.int64)
-    slacks = [l.slack_table(host.n) for l in functions]
-    counts = [np.zeros(1 << host.n, dtype=np.int64) for _ in range(m)]
+    ems = _kernels.as_mask_array(host.edge_masks)[:, None]
+    return (masks & ems) == ems
+
+
+def _greedy_owner(host, functions):
+    """Each edge, in index order, joins the first part it keeps sparse.
+
+    Part i keeps the room ``slack - counts`` it has left on every vertex
+    set, and an edge fits when it lies inside no set whose room is used
+    up.  Returns the owners and the host's :func:`_containment` matrix,
+    which the augmenting search reads too.  The slack tables come first,
+    so a host too large for them is refused before the matrix is built.
+    """
+    m = len(functions)
+    rooms = [l.slack_table(host.n).copy() for l in functions]
+    contains = _containment(host)
     owner = [m] * host.edge_count
-    for e, em in enumerate(host.edge_masks):
-        inside_e = (masks & em) == em
+    for e in range(host.edge_count):
         for i in range(m):
-            if np.all(counts[i] + inside_e <= slacks[i]):
-                counts[i] += inside_e
+            if np.all(contains[e] <= rooms[i]):
+                rooms[i] -= contains[e]
                 owner[e] = i
                 break
-    return owner
+    return owner, contains
 
 
 def max_sparse(host, l, *, trust_flags=None):
     """Greedy maximal l-sparse edge set in index order; by the matroid
     property it also has maximum cardinality."""
     ensure_properties(l, _BASE_FLAGS, host.n, trust=trust_flags)
-    owner = _greedy_owner(host, [l])
+    owner, _ = _greedy_owner(host, [l])
     return EdgeSubset(host, [e for e, part in enumerate(owner) if part == 0])
 
 
 def basis_size(host, l):
-    """Edge count of every basis: ``sum_v l(v) - l(V)``."""
-    return sum(l.value(1 << v) for v in range(host.n)) - l.value(host.full_mask)
+    """Edge count of every basis: ``sum_v l(v) - l(V)``, the slack of the
+    full vertex set."""
+    return int(l.slack_table(host.n)[host.full_mask])
 
 
 def _is_pc_members(host, members, l):
@@ -185,7 +199,9 @@ def min_pc_subgraph(edges, l, targets, *, trust_flags=None):
     For a sparse F, F[X] is partition-connected exactly when X is tight,
     ``e_F(X) = sum_{v in X} l(v) - l(X)``, and the tight sets containing a
     nonempty target set are closed under intersection.  The answer is the
-    intersection of all of them, so it is always ``unique``.  Raises
+    intersection of all of them, so it is always ``unique``.  The counts
+    ``e_F`` are the edge set's cached :meth:`EdgeSubset.inside_counts`, so
+    repeated calls on one subset count its edges once.  Raises
     :class:`NotSparse` when the edge set is not sparse and
     :class:`Disconnected` when no tight set contains the targets.
     """
@@ -198,7 +214,7 @@ def min_pc_subgraph(edges, l, targets, *, trust_flags=None):
     ensure_properties(l, _BASE_FLAGS, host.n, trust=trust_flags)
     check(host.n, SUBSET_LIMIT, "vertex count")
     slack = l.slack_table(host.n)
-    counts = _kernels.count_inside(host.n, _kernels.as_mask_array(edges.masks()))
+    counts = edges.inside_counts()
     bad = np.nonzero(counts > slack)[0]
     if bad.size:
         raise NotSparse("edge set is not l-sparse", vertex_set=int(bad[0]))

@@ -139,6 +139,28 @@ def test_max_partitions_budget(files, tmp_path):
     assert code == 4
 
 
+K7_DOC = {"type": "graph", "n": 7,
+          "edges": [[u, v] for u in range(7) for v in range(u + 1, 7)]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--preset", "partition-connected", "--k", "2"],
+    ["extract", "--preset", "edge-connected", "--k", "2"],
+    ["condition", "--eta", "5", "--lambda", "1"],
+], ids=["extract-pc", "extract-ec", "condition"])
+@pytest.mark.parametrize("limit", [["--max-n", "5"], ["--max-partitions", "52"]],
+                         ids=["max-n", "max-partitions"])
+def test_explicit_vertex_limit_refuses_every_host(files, tmp_path, argv, limit):
+    k7 = tmp_path / "k7.json"
+    k7.write_text(json.dumps(K7_DOC))
+    code, out = run_cli(argv + ["--graph", str(k7), "--setfn", files["const1"],
+                                "--format", "json"] + limit)
+    assert code == 4
+    error = json.loads(out)["error"]
+    assert error == {"kind": "limit-exceeded",
+                     "message": "vertex count 7 exceeds limit 5"}
+
+
 def test_components_and_sparse_and_bases(files):
     code, out = run_cli(["components", "--graph", files["tree"],
                          "--setfn", files["const1"], "--format", "json"])

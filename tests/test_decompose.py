@@ -35,12 +35,15 @@ from partition_forge import (
     vertex_weights,
     witness_partition,
 )
+from partition_forge.bits import bit_list
 from conftest import (
     all_multigraphs,
+    brute_min_pc,
     complete_graph,
     cycle_graph,
     is_spanning_tree,
     random_connected_multigraph,
+    random_hypergraph,
     random_multigraph,
 )
 
@@ -296,6 +299,38 @@ def test_augment_matches_oracle_and_witness_verifies(instance):
     assert fam.size() == best
     assert all(is_sparse(host, p.members, l) for p, l in zip(fam.parts, fns))
     witness_partition(host, fam)
+
+
+def test_every_circuit_the_search_reads_is_the_smallest_pc_set(rng, monkeypatch):
+    import partition_forge.decompose as decompose
+    import partition_forge.sparse as sparse
+
+    reads = []
+
+    def recorded(edges, l, targets, **kwargs):
+        result = sparse.min_pc_subgraph(edges, l, targets, **kwargs)
+        reads.append((edges, l, targets, result))
+        return result
+
+    monkeypatch.setattr(decompose, "min_pc_subgraph", recorded)
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        if rng.random() < 0.5:
+            host = random_hypergraph(rng, n, rng.randint(n, 10), 3)
+        else:
+            host = random_multigraph(rng, n, rng.randint(n, 12))
+        fns = [rng.choice([L1, constant(2), vertex_bulk(1, 0),
+                           vertex_weights([rng.randint(0, 2) for _ in range(n)])])
+               for _ in range(rng.randint(1, 3))]
+        reads.clear()
+        family = max_sparse_family(host, fns, method="augment")
+        witness_partition(host, family)
+        for edges, l, targets, result in reads:
+            expected = brute_min_pc(host, edges.members, l, bit_list(targets))
+            assert expected == [result.vertex_list()] and result.unique
+        checked += len(reads)
+    assert checked > 50
 
 
 def test_auto_family_is_the_oracle_family(rng):

@@ -1,5 +1,6 @@
 """Counting primitives and substrate types."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,11 +23,13 @@ from partition_forge import (
     restricted_removal,
     sigma,
 )
+from partition_forge._kernels import as_mask_array, count_inside
 from conftest import (
     complete_graph,
     cycle_graph,
     iter_set_partitions,
     path_graph,
+    random_hypergraph,
     random_multigraph,
 )
 
@@ -185,3 +188,19 @@ def test_hypergraph_rank_and_conversion():
     assert big.rank == 3
     with pytest.raises(ValidationError):
         big.to_multigraph()
+
+
+def test_inside_counts_is_count_inside_of_the_members(rng):
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        host = (random_hypergraph(rng, n, rng.randint(0, 9), 3) if rng.random() < 0.5
+                else random_multigraph(rng, n, rng.randint(0, 9)))
+        part = EdgeSubset(host, [i for i in range(host.edge_count) if rng.random() < 0.6])
+        counts = part.inside_counts()
+        assert np.array_equal(counts, count_inside(n, as_mask_array(part.masks())))
+        assert counts.tolist() == [
+            induced_edge_count(part.as_host(), a) for a in range(1 << n)
+        ]
+        assert part.inside_counts() is counts
+        with pytest.raises(ValueError):
+            counts[-1] = 0

@@ -2,8 +2,9 @@
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_forge import (
@@ -220,3 +221,62 @@ def test_interpreted_flags_on_families():
     assert report.holds("positively-intersecting-supermodular")
     assert fn.has_flags("element-nonincreasing",
                         "positively-intersecting-supermodular")
+
+
+# ---------------------------------------------------------------------------
+# NumPy-built tables against one evaluation per mask.
+
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def set_functions(draw, arity, depth=2):
+    """A built-in family or a composition of them; every arity-bound piece
+    has the given arity, so sums stay compatible."""
+    kinds = ["bulk", "constant", "weights", "table"]
+    if depth:
+        kinds += ["sum", "scale", "shift", "flags"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "bulk":
+        return vertex_bulk(draw(SMALL), draw(SMALL))
+    if kind == "constant":
+        return constant(draw(SMALL))
+    if kind == "weights":
+        return vertex_weights(draw(st.lists(SMALL, min_size=arity, max_size=arity)))
+    if kind == "table":
+        default = draw(st.one_of(st.none(), SMALL))
+        size = 1 << arity
+        if default is None:
+            values = [0] + draw(st.lists(SMALL, min_size=size - 1, max_size=size - 1))
+            return table(arity, dict(enumerate(values)))
+        entries = draw(st.dictionaries(st.integers(1, size - 1), SMALL, max_size=8))
+        return table(arity, entries, default=default)
+    inner = set_functions(arity, depth - 1)
+    if kind == "sum":
+        return fn_sum(*draw(st.lists(inner, min_size=1, max_size=3)))
+    if kind == "scale":
+        return scale(draw(st.integers(1, 3)), draw(inner))
+    if kind == "shift":
+        roots = draw(st.lists(st.integers(0, 2), min_size=arity, max_size=arity))
+        return rooted_shift(draw(inner), roots)
+    return draw(inner).with_flags("nonnegative")
+
+
+@st.composite
+def tabulated(draw):
+    n = draw(st.integers(0, 8))
+    arity = draw(st.integers(max(n, 1), 8))
+    return n, draw(set_functions(arity))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tabulated())
+def test_tables_equal_per_mask_values(case):
+    n, fn = case
+    values = [fn.value(m) for m in range(1 << n)]
+    sums = [sum(fn.value(1 << v) for v in range(n) if m >> v & 1)
+            for m in range(1 << n)]
+    tab = fn.table(n)
+    assert tab.dtype == np.int64 and tab.tolist() == values
+    assert fn.singleton_sum_table(n).tolist() == sums
+    assert fn.slack_table(n).tolist() == [s - v for s, v in zip(sums, values)]

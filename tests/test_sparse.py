@@ -18,6 +18,7 @@ from partition_forge import (
     basis_size,
     constant,
     e_star,
+    fn_sum,
     enumerate_bases,
     induced_edge_count,
     is_pc,
@@ -25,7 +26,9 @@ from partition_forge import (
     max_sparse,
     min_pc_subgraph,
     restricted_removal,
+    scale,
     spanning_host,
+    table,
     theta,
     theta_oracle,
     theta_without,
@@ -83,6 +86,20 @@ def test_max_sparse_is_maximum(rng):
                         best = k
                         break
             assert got == best
+
+
+def test_basis_size_is_the_singleton_sum_minus_the_ground_value(rng):
+    for n in range(8):
+        host = random_multigraph(rng, n, rng.randint(0, 6))
+        weights = vertex_weights([rng.randint(0, 3) for _ in range(n)])
+        demands = [
+            constant(1), constant(2), vertex_bulk(2, 1), vertex_bulk(1, 0),
+            weights, fn_sum(constant(1), weights), scale(2, vertex_bulk(3, 1)),
+            table(n, {m: rng.randint(-2, 3) for m in range(1, 1 << n)}),
+        ]
+        for l in demands:
+            expected = sum(l.value(1 << v) for v in range(n)) - l.value((1 << n) - 1)
+            assert basis_size(host, l) == expected
 
 
 def test_enumerate_bases_examples():
