@@ -12,6 +12,7 @@ re-verification (a bug, not a property of the input).
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import limits as limits_mod
@@ -44,10 +45,21 @@ SCHEMA = "partition-forge/1"
 # ---------------------------------------------------------------------------
 # Parsing and serialization.
 
+@contextmanager
+def _malformed(what):
+    """Report the errors that reading a malformed input raises (a missing
+    key, a value of the wrong type) as a validation error."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {exc!r}") from exc
+
+
 def parse_graph(doc):
-    if doc.get("type") != "graph":
-        raise ValidationError("expected a graph document")
-    return MultiGraph(doc["n"], [tuple(e) for e in doc["edges"]])
+    with _malformed("graph document"):
+        if doc.get("type") != "graph":
+            raise ValidationError("expected a graph document")
+        return MultiGraph(doc["n"], [tuple(e) for e in doc["edges"]])
 
 
 def dump_graph(graph):
@@ -55,12 +67,13 @@ def dump_graph(graph):
 
 
 def parse_hypergraph(doc):
-    if doc.get("type") != "hypergraph":
-        raise ValidationError("expected a hypergraph document")
-    hes = []
-    for he in doc["hyperedges"]:
-        hes.append(Hyperedge(he["vertices"], he.get("head")))
-    return Hypergraph(doc["n"], hes)
+    with _malformed("hypergraph document"):
+        if doc.get("type") != "hypergraph":
+            raise ValidationError("expected a hypergraph document")
+        hes = []
+        for he in doc["hyperedges"]:
+            hes.append(Hyperedge(he["vertices"], he.get("head")))
+        return Hypergraph(doc["n"], hes)
 
 
 def dump_hypergraph(host):
@@ -74,22 +87,23 @@ def dump_hypergraph(host):
 
 
 def parse_setfn(doc):
-    kind = doc.get("kind")
-    if kind == "constant":
-        fn = constant(doc["value"])
-    elif kind == "vertex-bulk":
-        fn = vertex_bulk(doc["vertex"], doc["bulk"])
-    elif kind == "table":
-        entries = {}
-        for key, value in doc["values"]:
-            verts = [int(t) for t in key.split(",")] if key else []
-            entries[mask_of(verts)] = value
-        fn = table(doc["n"], entries, default=doc.get("default"),
-                   flags=doc.get("assume", ()))
-    else:
-        raise ValidationError(f"unknown set function kind {kind!r}")
-    if doc.get("assume") and kind != "table":
-        fn = fn.with_flags(*doc["assume"])
+    with _malformed("set function document"):
+        kind = doc.get("kind")
+        if kind == "constant":
+            fn = constant(doc["value"])
+        elif kind == "vertex-bulk":
+            fn = vertex_bulk(doc["vertex"], doc["bulk"])
+        elif kind == "table":
+            entries = {}
+            for key, value in doc["values"]:
+                verts = [int(t) for t in key.split(",")] if key else []
+                entries[mask_of(verts)] = value
+            fn = table(doc["n"], entries, default=doc.get("default"),
+                       flags=doc.get("assume", ()))
+        else:
+            raise ValidationError(f"unknown set function kind {kind!r}")
+        if doc.get("assume") and kind != "table":
+            fn = fn.with_flags(*doc["assume"])
     fn._wants_validation = bool(doc.get("validate"))
     return fn
 
@@ -153,11 +167,12 @@ def _vertex_list(text, n):
 
 def _target(text, n):
     parts = text.split(",")
-    if len(parts) == 1 and parts[0] not in ("inf",):
-        return DegreeTarget.uniform(int(parts[0]), n)
-    if len(parts) != n:
-        raise ValidationError("degree target must list every vertex")
-    return DegreeTarget([None if p == "inf" else int(p) for p in parts])
+    with _malformed("degree target"):
+        if len(parts) == 1 and parts[0] not in ("inf",):
+            return DegreeTarget.uniform(int(parts[0]), n)
+        if len(parts) != n:
+            raise ValidationError("degree target must list every vertex")
+        return DegreeTarget([None if p == "inf" else int(p) for p in parts])
 
 
 def _eta(text, n):
@@ -260,6 +275,8 @@ def cmd_extract(args):
     host = load_host(args)
     l = fn_sum(*load_setfns(args, host))
     if args.preset:
+        if args.k is None:
+            raise ValidationError("--preset needs --k")
         eta, lam = preset_eta(host, l, _fraction(args.k), args.preset,
                               independent=args.independent)
     else:
@@ -332,10 +349,11 @@ def cmd_orient(args):
     if args.u is not None:
         roots = None
         if args.roots:
-            roots = [
-                [int(t) for t in chunk.split(",")]
-                for chunk in args.roots.split(";")
-            ]
+            with _malformed("--roots"):
+                roots = [
+                    [int(t) for t in chunk.split(",")]
+                    for chunk in args.roots.split(";")
+                ]
         orientation, parts = orient_decompose(host, fns, args.u, roots)
         return {
             "heads": list(orientation.head_of),
@@ -356,6 +374,8 @@ def cmd_orient(args):
 def cmd_condition(args):
     host = load_host(args)
     l = fn_sum(*load_setfns(args, host))
+    if args.eta is None or args.lam is None:
+        raise ValidationError("pass --eta and --lambda")
     x = _vertex_list(args.x, host.n) if args.x else list(range(host.n))
     verdict = check_main_condition(
         host, l, x, _eta(args.eta, host.n), _fraction(args.lam), args.variant
@@ -445,10 +465,13 @@ def build_parser():
 
 
 def _check_partition_budget(args):
+    """Read ``--max-partitions`` as a budget on the partition table's
+    (3^n - 1) / 2 block pairs: admit the largest n, up to the table's
+    vertex limit, within it."""
     if args.max_partitions is None or args.max_n is not None:
         return
     n = limits_mod.PARTITION_ENUM_LIMIT
-    while n > 0 and limits_mod.bell_number(n) > args.max_partitions:
+    while n > 0 and (3**n - 1) // 2 > args.max_partitions:
         n -= 1
     args.max_n = n
 

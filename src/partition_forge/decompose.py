@@ -39,10 +39,10 @@ from .errors import (
 )
 from .extract import kl_edge_connected
 from .hosts import EdgeSubset, Partition
-from .limits import ASSIGNMENT_ORACLE_STATES, PARTITION_ENUM_LIMIT, check
+from .limits import ASSIGNMENT_ORACLE_STATES
 from .setfn import ensure_properties, fn_sum, vertex_bulk, vertex_weights
 from .sparse import _containment, _greedy_owner, basis_size, min_pc_subgraph
-from .theta import pc_violation, theta_without
+from .theta import _spans_pc, _table, pc_violation
 
 _PACK_FLAGS = ("intersecting-supermodular", "subadditive")
 
@@ -89,16 +89,6 @@ class Decomposition:
 
     def __repr__(self):
         return f"Decomposition({[list(p.indices()) for p in self.parts]})"
-
-
-def _part_is_pc(host, members, l):
-    """Recheck: the member edges span an l-partition-connected subgraph,
-    ``g[V] - inside[V] == l(V)`` in one partition table on the host's own
-    vertex labels."""
-    ltab = l.table(host.n)
-    ems = _kernels.as_mask_array(host.edge_masks[i] for i in sorted(members))
-    g, inside = _kernels.partition_table(host.n, ems, ltab)
-    return bool(g[-1] - inside[-1] == ltab[-1])
 
 
 def assignment_optimum(host, functions, *, cap=None):
@@ -246,11 +236,8 @@ def witness_partition(host, family):
         em = host.edge_masks[e]
         if not any(em & ~b == 0 for b in partition.blocks):
             raise FamilyNotMaximal("an uncovered edge crosses the witness partition")
-    check(host.n, PARTITION_ENUM_LIMIT, "vertex count")
     for part, l in zip(family.parts, family.functions):
-        ltab = l.table(host.n)
-        ems = _kernels.as_mask_array(part.masks())
-        g, inside = _kernels.partition_table(host.n, ems, ltab)
+        g, inside, ltab = _table(host, l, part.members)
         for block in partition.blocks:
             if g[block] - inside[block] != ltab[block]:
                 raise FamilyNotMaximal(
@@ -289,7 +276,7 @@ def decompose_pc(host, functions, *, trust_flags=None):
         EdgeSubset(host, set(family.parts[0].members) | set(leftovers))
     ] + [family.parts[i] for i in range(1, len(functions))]
     for part, l in zip(parts, functions):
-        if not _part_is_pc(host, part.members, l):
+        if not _spans_pc(host, part.members, l):
             raise InternalError("a part failed its recheck")
     return Decomposition(parts, covers_all=True)
 
@@ -354,10 +341,11 @@ def half_degree_pc(host, l, u, *, trust_flags=None):
 def hyper_bounded(host, l, h, *, trust_flags=None):
     """Partition-connected spanning sub-hypergraph with degrees at most h.
 
-    The theta-versus-sigma hypothesis is checked for every vertex set S;
-    when it holds, pairing l with the overshoot weights
-    ``max(0, d(v) - h(v))`` makes the host decomposable and the l-part
-    satisfies the bound.
+    The theta-versus-sigma hypothesis is checked for every vertex set S,
+    reading theta of the host without S as ``g(V - S) - i(V - S)`` from
+    one partition table of the host; when it holds, pairing l with the
+    overshoot weights ``max(0, d(v) - h(v))`` makes the host decomposable
+    and the l-part satisfies the bound.
     """
     from .extract import DegreeTarget
     from .hosts import sigma
@@ -365,8 +353,10 @@ def hyper_bounded(host, l, h, *, trust_flags=None):
     ensure_properties(l, _PACK_FLAGS, host.n, trust=trust_flags)
     hvals = DegreeTarget.of(h, host.n).resolve(host)
     lg = l.value(host.full_mask)
+    g, inside, _ = _table(host, l)
     for s in range(1 << host.n):
-        lhs = theta_without(host, l, s, trust_flags=True)
+        rest = host.full_mask & ~s
+        lhs = int(g[rest] - inside[rest])
         rhs = (
             sum(hvals[v] - l.value(1 << v) for v in bit_list(s))
             + lg

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .hosts import (
     EdgeSubset,
+    _edge_subset_indices,
     boundary_count,
     induced_edge_count,
     partition_from_labels,
@@ -34,7 +35,7 @@ from .hosts import (
 from .limits import EDGE_SEARCH_LIMIT, PARTITION_ENUM_LIMIT, SUBSET_LIMIT, check
 from .setfn import ceil_fraction, ensure_properties
 from .sparse import Basis, _enumerate_bases, e_star_table
-from .theta import pc_components, theta_restricted, theta_without
+from .theta import _spans_pc, _table, pc_components, theta_restricted, theta_without
 
 _COND_FLAGS = ("intersecting-supermodular", "element-subadditive")
 
@@ -134,20 +135,27 @@ def structure_witness(graph, l, target, basis, *, forced=None, equality=False,
     edges = basis.edges if isinstance(basis, Basis) else basis
     t = DegreeTarget.of(target, graph.n).resolve(graph)
     degs = edges.degrees()
-    sub = spanning_host(graph, edges.members)
-    keep = None if forced is None else frozenset(forced)
+    if forced is None:
+        sub = spanning_host(graph, edges.members)
 
-    def theta_pair(s_mask):
-        if keep is None:
+        def theta_pair(s_mask):
             return (
                 theta_without(graph, l, s_mask, trust_flags=True),
                 theta_without(sub, l, s_mask, trust_flags=True),
             )
-        sub_keep = keep & edges.members
-        return (
-            theta_restricted(graph, l, s_mask, keep, trust_flags=True),
-            theta_restricted(sub, l, s_mask, _reindex(edges, sub_keep), trust_flags=True),
-        )
+    else:
+        keep = frozenset(forced)
+
+        def theta_pair(s_mask):
+            kept = [
+                i for i in edges.members
+                if graph.edge_masks[i] & s_mask == 0 or i in keep
+            ]
+            g, inside, _ = _table(graph, l, kept)
+            return (
+                theta_restricted(graph, l, s_mask, keep, trust_flags=True),
+                int(g[-1] - inside[-1]),
+            )
 
     if equality:
         required = 0
@@ -167,14 +175,6 @@ def structure_witness(graph, l, target, basis, *, forced=None, equality=False,
         "no witness set satisfies the structure conditions; "
         "the subgraph is probably not optimal for the target"
     )
-
-
-def _reindex(edges, members):
-    """Map member indices of ``edges.host`` to indices in the host built
-    from ``edges`` (sorted order)."""
-    order = edges.indices()
-    lookup = {orig: i for i, orig in enumerate(order)}
-    return [lookup[i] for i in sorted(members)]
 
 
 class ConditionVerdict:
@@ -386,9 +386,8 @@ def min_theta_extension(graph, l, target, forced=None, *, trust_flags=None,
     def score(chosen):
         nonlocal best
         members = sorted(forced_members | set(chosen))
-        sub = spanning_host(graph, members)
-        val = theta_without(sub, l, 0, trust_flags=True)
-        key = (val, tuple(members))
+        g, inside, _ = _table(graph, l, members)
+        key = (int(g[-1] - inside[-1]), tuple(members))
         if best is None or key < best:
             best = key
 
@@ -420,7 +419,7 @@ def tough_component_condition(graph, forced, l, c):
     satisfy ``sum_{v in C} l(v) >= c*l(C) - (c-1)/2 * d_F(C)``.
     """
     c = Fraction(c)
-    fhost = spanning_host(graph, _as_members(forced))
+    fhost = spanning_host(graph, _edge_subset_indices(graph, forced))
     comp = pc_components(fhost, l, trust_flags=True)
     for block in comp.partition.blocks:
         lhs = sum(l.value(1 << v) for v in bit_list(block))
@@ -428,12 +427,6 @@ def tough_component_condition(graph, forced, l, c):
         if lhs < c * l.value(block) - Fraction(c - 1, 2) * df:
             return block
     return None
-
-
-def _as_members(edges):
-    if isinstance(edges, EdgeSubset):
-        return edges.members
-    return frozenset(int(i) for i in edges)
 
 
 def check_tough_extract(graph, l, h, forced, c, *, trust_flags=None):
@@ -461,8 +454,10 @@ def check_tough_extract(graph, l, h, forced, c, *, trust_flags=None):
         )
     hvals = DegreeTarget.of(h, graph.n).resolve(graph)
     lg = l.value(graph.full_mask)
+    g, inside, _ = _table(graph, l)
     for s in range(1 << graph.n):
-        lhs = Fraction(theta_without(graph, l, s, trust_flags=True))
+        rest = graph.full_mask & ~s
+        lhs = Fraction(int(g[rest] - inside[rest]))
         rhs = (
             1
             + sum(
@@ -477,14 +472,13 @@ def check_tough_extract(graph, l, h, forced, c, *, trust_flags=None):
             raise HypothesisViolated(
                 "theta bound fails", clause="theta-condition", vertex_set=s
             )
-    forced_sub = EdgeSubset(graph, _as_members(forced))
+    forced_sub = EdgeSubset(graph, _edge_subset_indices(graph, forced))
     target = DegreeTarget(
         [hvals[v] + forced_sub.degree(v) for v in range(graph.n)]
     )
     result = min_theta_extension(graph, l, target, forced_sub.members,
                                  trust_flags=True)
-    sub = spanning_host(graph, result.members)
-    if theta_without(sub, l, 0, trust_flags=True) != lg:
+    if not _spans_pc(graph, result.members, l):
         raise InternalError(
             "hypotheses held but the extension is not partition-connected"
         )

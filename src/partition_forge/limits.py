@@ -4,16 +4,13 @@ Each limit can be overridden per call; the CLI exposes them as
 ``--max-n``, ``--max-edges`` and ``--max-partitions``.
 """
 
-from math import comb
-
 from .errors import LimitExceeded
 
 # Vertex count of the subset-DP partition table (O(3^n) work, an index of
-# (3^n - 1) / 2 block pairs): theta oracles, connectivity checks, packing
-# witnesses.  The CLI's --max-partitions still reads it as a Bell(n) budget.
+# (3^n - 1) / 2 block pairs): theta, components, connectivity checks,
+# packing witnesses.  The CLI's --max-partitions is a budget on that
+# block-pair count.
 PARTITION_ENUM_LIMIT = 12
-# Component decomposition enumerates subsets of the vertex set.
-COMPONENT_LIMIT = 10
 # Subset enumeration for sparseness and condition checks.
 SUBSET_LIMIT = 16
 # Exhaustive orientation search is 2**|E|.
@@ -30,10 +27,3 @@ def check(value, limit, what):
     if limit is not None and value > limit:
         raise LimitExceeded(f"{what} {value} exceeds limit {limit}")
 
-
-def bell_number(k):
-    """Number of set partitions of a k-element set."""
-    bells = [1]
-    for i in range(k):
-        bells.append(sum(comb(i, j) * bells[j] for j in range(i + 1)))
-    return bells[k]

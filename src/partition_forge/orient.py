@@ -32,7 +32,7 @@ from .hosts import (
 from .limits import ORIENTATION_EDGE_LIMIT, check
 from .setfn import SetFunction, ensure_properties, rooted_shift, vertex_weights
 from .sparse import sparse_violation
-from .theta import is_pc, pc_violation
+from .theta import _spans_pc, is_pc, pc_violation
 
 _MIN_ARC_FLAGS = (
     "element-nonincreasing",
@@ -271,8 +271,7 @@ def extract_bounded_via_orientation(graph, l, h, *, trust_flags=None):
     if orient is None:
         raise InternalError("partition-connected host had no orientation")
     result = min_arc_subdigraph(orient, ell, trust_flags=True)
-    sub = spanning_host(graph, result.members)
-    if not is_pc(sub, l, trust_flags=True):
+    if not _spans_pc(graph, result.members, l):
         raise InternalError("orientation route lost connectivity")
     rd = result.degrees()
     if any(rd[v] > hvals[v] for v in range(n)):

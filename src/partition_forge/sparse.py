@@ -17,10 +17,10 @@ from .errors import (
     NotSparse,
     ValidationError,
 )
-from .hosts import EdgeSubset
+from .hosts import EdgeSubset, _edge_subset_indices
 from .limits import EDGE_SEARCH_LIMIT, SUBSET_LIMIT, check
 from .setfn import ensure_properties
-from .theta import pc_violation
+from .theta import _spans_pc, pc_violation
 
 _BASE_FLAGS = ("intersecting-supermodular", "weakly-subadditive")
 
@@ -44,20 +44,14 @@ class Basis:
         return f"Basis({list(self.indices())})"
 
 
-def _members(host, edges):
-    if isinstance(edges, Basis):
-        edges = edges.edges
-    if isinstance(edges, EdgeSubset):
-        return edges.members
-    return frozenset(int(i) for i in edges)
-
-
 def sparse_violation(host, edges, l, *, limit=SUBSET_LIMIT, trust_flags=None):
     """First vertex set (as a mask) packing too many of the given edges,
     or None if the edge set is l-sparse."""
     ensure_properties(l, _BASE_FLAGS, host.n, trust=trust_flags)
     check(host.n, limit, "vertex count")
-    members = _members(host, edges)
+    if isinstance(edges, Basis):
+        edges = edges.edges
+    members = _edge_subset_indices(host, edges)
     ems = _kernels.as_mask_array(host.edge_masks[i] for i in sorted(members))
     bad = int(_kernels.sparse_violation(host.n, ems, l.slack_table(host.n)))
     return None if bad < 0 else bad
@@ -111,16 +105,6 @@ def basis_size(host, l):
     return int(l.slack_table(host.n)[host.full_mask])
 
 
-def _is_pc_members(host, members, l):
-    """Partition-connectivity of the spanning subgraph with these edges."""
-    if host.n == 0:
-        return True
-    ltab = l.table(host.n)
-    ems = _kernels.as_mask_array(host.edge_masks[i] for i in sorted(members))
-    _, _, exceeded = _kernels.partition_scan(host.n, ems, ltab, ltab[-1])
-    return not exceeded
-
-
 def _enumerate_bases(host, l, forced=frozenset(), *, trust_flags=None):
     ensure_properties(l, _BASE_FLAGS, host.n, trust=trust_flags)
     check(host.edge_count, EDGE_SEARCH_LIMIT, "edge count")
@@ -143,7 +127,7 @@ def _enumerate_bases(host, l, forced=frozenset(), *, trust_flags=None):
     def dfs(start, chosen):
         if len(chosen) == target:
             members = sorted(chosen)
-            if not _is_pc_members(host, members, l):
+            if not _spans_pc(host, members, l):
                 raise InternalError(
                     "sparse set of full size failed the connectivity recheck"
                 )

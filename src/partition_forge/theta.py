@@ -8,21 +8,25 @@ hosts, and it also arises from the unique decomposition into maximal
 partition-connected pieces.  Both routes are implemented and
 cross-checked in the tests.
 
-They read one subset DP (:func:`_kernels.partition_table`): with
-i(X) the number of edges inside X, the measure of the sub-host induced on
-S is ``g(S) - i(S)``, where ``g(S)`` is the maximum over partitions of S of
+They read one subset DP (:func:`_kernels.partition_table`): with i(X)
+the number of edges inside X, the measure of the sub-host induced on S is
+``g(S) - i(S)``, where ``g(S)`` is the maximum over partitions of S of
 ``sum (l(A) + i(A))``.  One O(3^n) table gives it for every S at once.
+The oracle, the violation witness and :func:`theta_without` read it
+through ``partition_scan``, which also rebuilds a maximizing partition.
+Every other question, about a host or about a set of its edges, reads
+:func:`_table` on the host's own vertex labels: a sweep over removed
+vertex sets S reads ``g(V - S) - i(V - S)``, and a recheck of an edge
+set needs no host of its own.
 """
-
-from itertools import combinations
 
 import numpy as np
 
 from . import _kernels
 from .bits import as_mask, bit_count, bit_list, mask_of
 from .errors import InternalError
-from .hosts import Partition, cross_edges, partition_from_labels, restricted_removal
-from .limits import COMPONENT_LIMIT, PARTITION_ENUM_LIMIT, check
+from .hosts import Partition, _edge_subset_indices, cross_edges, partition_from_labels
+from .limits import PARTITION_ENUM_LIMIT, check
 from .setfn import ensure_properties
 
 
@@ -35,6 +39,25 @@ class ComponentDecomposition:
 
     def __repr__(self):
         return f"ComponentDecomposition({self.partition!r}, theta={self.theta_value})"
+
+
+def _table(host, l, members=None, *, limit=PARTITION_ENUM_LIMIT):
+    """The partition table of the member edges (every edge when None) on
+    the host's own vertex labels: ``(g, inside, ltab)``, each indexed by
+    vertex mask, so ``g[S] - inside[S]`` is theta of the spanning subgraph
+    of those edges induced on S."""
+    check(host.n, limit, "vertex count")
+    ltab = l.table(host.n)
+    idx = range(host.edge_count) if members is None else members
+    ems = _kernels.as_mask_array(host.edge_masks[i] for i in idx)
+    g, inside = _kernels.partition_table(host.n, ems, ltab)
+    return g, inside, ltab
+
+
+def _spans_pc(host, members, l):
+    """The member edges span an l-partition-connected subgraph."""
+    g, inside, ltab = _table(host, l, members)
+    return bool(g[-1] - inside[-1] == ltab[-1])
 
 
 def _sub_tables(host, l, sub_mask):
@@ -102,40 +125,32 @@ def is_pc(host, l, *, limit=PARTITION_ENUM_LIMIT, trust_flags=None):
     return pc_violation(host, l, limit=limit, trust_flags=trust_flags) is None
 
 
-def pc_components(host, l, *, limit=COMPONENT_LIMIT, trust_flags=None):
+def pc_components(host, l, *, limit=PARTITION_ENUM_LIMIT, trust_flags=None):
     """The unique decomposition into maximal l-partition-connected blocks.
 
-    Greedy over induced subsets in decreasing size: any partition-connected
-    set lies inside a single component, so the largest connected subset of
-    the remaining vertices is always a component.  Singletons are always
-    partition-connected, so the loop terminates.  A set S is
-    partition-connected iff ``g(S) - i(S) = l(S)`` in one partition table
-    over the host.
+    A vertex set S is partition-connected iff ``g(S) - i(S) = l(S)`` in
+    the host's partition table, and every singleton is.  For an
+    intersecting supermodular l the union of two intersecting
+    partition-connected sets is partition-connected (A. Frank,
+    *Connections in Combinatorial Optimization*, 2011), so the union of
+    all partition-connected sets holding a vertex v is itself one, the
+    largest: the block of v.  A connected set meeting that block lies
+    inside it, so the blocks are disjoint and the lowest vertex left over
+    always starts a new one; each block is one OR over the connected masks
+    that hold its vertex.
     """
     ensure_properties(l, ("intersecting-supermodular",), host.n, trust=trust_flags)
-    check(host.n, limit, "vertex count")
+    g, inside, ltab = _table(host, l, limit=limit)
     if host.n == 0:
         return ComponentDecomposition(Partition((), 0), 0)
-    ltab = l.table(host.n)
-    g, inside = _kernels.partition_table(
-        host.n, _kernels.as_mask_array(host.edge_masks), ltab
-    )
-    connected = g - inside == ltab
+    connected = np.flatnonzero(g - inside == ltab)
     blocks = []
     remaining = host.full_mask
     while remaining:
-        verts = bit_list(remaining)
-        found = None
-        for size in range(len(verts), 0, -1):
-            for combo in combinations(verts, size):
-                m = mask_of(combo)
-                if connected[m]:
-                    found = m
-                    break
-            if found is not None:
-                break
-        blocks.append(found)
-        remaining &= ~found
+        low = remaining & -remaining
+        block = int(np.bitwise_or.reduce(connected[connected & low != 0]))
+        blocks.append(block)
+        remaining &= ~block
     partition = Partition(blocks, host.full_mask)
     value = sum(l.value(b) for b in partition.blocks) - cross_edges(host, partition)
     if value < l.value(host.full_mask):
@@ -143,7 +158,7 @@ def pc_components(host, l, *, limit=COMPONENT_LIMIT, trust_flags=None):
     return ComponentDecomposition(partition, value)
 
 
-def theta(host, l, *, limit=COMPONENT_LIMIT, trust_flags=None):
+def theta(host, l, *, limit=PARTITION_ENUM_LIMIT, trust_flags=None):
     """The measure via the component decomposition (equals the oracle)."""
     return pc_components(host, l, limit=limit, trust_flags=trust_flags).theta_value
 
@@ -171,6 +186,10 @@ def theta_restricted(graph, l, vertex_set, keep, *, limit=PARTITION_ENUM_LIMIT,
     """Theta after dropping the edges incident to the vertex set except
     the kept ones; all vertices remain."""
     ensure_properties(l, ("intersecting-supermodular",), graph.n, trust=trust_flags)
-    stripped = restricted_removal(graph, vertex_set, keep)
-    value, _, _ = _scan_full(stripped, l, limit=limit)
-    return value if graph.n else 0
+    s = as_mask(vertex_set, graph.n)
+    kept = _edge_subset_indices(graph, keep)
+    members = [
+        i for i, em in enumerate(graph.edge_masks) if em & s == 0 or i in kept
+    ]
+    g, inside, _ = _table(graph, l, members, limit=limit)
+    return int(g[-1] - inside[-1])

@@ -121,6 +121,32 @@ def test_parse_error_exit_code(files, tmp_path):
     assert json.loads(out)["error"]["kind"] == "validation"
 
 
+@pytest.mark.parametrize("graph, setfn, argv", [
+    ({"type": "graph", "n": 3}, CONST1_DOC, ["theta"]),
+    ({"type": "graph", "n": 2, "edges": [[0, "x"]]}, CONST1_DOC, ["theta"]),
+    ({"type": "graph", "n": 3, "edges": [[0, 1, 2]]}, CONST1_DOC, ["theta"]),
+    ({"type": "graph", "n": "3", "edges": []}, CONST1_DOC, ["theta"]),
+    ([[0, 1]], CONST1_DOC, ["theta"]),
+    (K4_DOC, [1], ["theta"]),
+    (K4_DOC, {"kind": "constant"}, ["theta"]),
+    (K4_DOC, CONST1_DOC, ["witness", "--target", "a"]),
+    (K4_DOC, CONST1_DOC, ["extract", "--preset", "partition-connected"]),
+    (K4_DOC, CONST1_DOC, ["condition", "--lambda", "1"]),
+    (K4_DOC, CONST1_DOC, ["orient", "--u", "0", "--roots", "a"]),
+], ids=["no-edges", "edge-not-int", "edge-of-three", "n-not-int", "graph-list",
+        "setfn-list", "constant-no-value", "target-not-int", "preset-no-k",
+        "condition-no-eta", "roots-not-int"])
+def test_malformed_input_exits_3(tmp_path, graph, setfn, argv):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(graph))
+    fpath = tmp_path / "l.json"
+    fpath.write_text(json.dumps(setfn))
+    code, out = run_cli(argv + ["--graph", str(gpath), "--setfn", str(fpath),
+                                "--format", "json"])
+    assert code == 3
+    assert json.loads(out)["error"]["kind"] == "validation"
+
+
 def test_limit_exit_code(files, tmp_path):
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"type": "graph", "n": 20, "edges": []}))
@@ -148,7 +174,7 @@ K7_DOC = {"type": "graph", "n": 7,
     ["extract", "--preset", "edge-connected", "--k", "2"],
     ["condition", "--eta", "5", "--lambda", "1"],
 ], ids=["extract-pc", "extract-ec", "condition"])
-@pytest.mark.parametrize("limit", [["--max-n", "5"], ["--max-partitions", "52"]],
+@pytest.mark.parametrize("limit", [["--max-n", "5"], ["--max-partitions", "121"]],
                          ids=["max-n", "max-partitions"])
 def test_explicit_vertex_limit_refuses_every_host(files, tmp_path, argv, limit):
     k7 = tmp_path / "k7.json"
@@ -237,7 +263,7 @@ def test_orient_command(tmp_path, files):
 def test_internal_error_exit_code(files, monkeypatch):
     import partition_forge.decompose as decompose
 
-    monkeypatch.setattr(decompose, "_part_is_pc", lambda host, members, l: False)
+    monkeypatch.setattr(decompose, "_spans_pc", lambda host, members, l: False)
     code, out = run_cli(["decompose", "--graph", files["k4"],
                          "--setfn", files["const1"], "--setfn", files["const1"],
                          "--format", "json"])
@@ -250,7 +276,7 @@ def test_failed_basis_recheck_raises_internal_error(files, monkeypatch):
     from partition_forge import InternalError, constant, enumerate_bases
     from partition_forge.cli import parse_graph
 
-    monkeypatch.setattr(sparse, "_is_pc_members", lambda host, members, l: False)
+    monkeypatch.setattr(sparse, "_spans_pc", lambda host, members, l: False)
     with pytest.raises(InternalError):
         list(enumerate_bases(parse_graph(K4_DOC), constant(1)))
     code, out = run_cli(["bases", "--graph", files["k4"], "--setfn", files["const1"],

@@ -351,7 +351,7 @@ def test_auto_family_is_the_oracle_family(rng):
 def test_failed_recheck_raises_internal_error(monkeypatch):
     import partition_forge.decompose as decompose
 
-    monkeypatch.setattr(decompose, "_part_is_pc", lambda host, members, l: False)
+    monkeypatch.setattr(decompose, "_spans_pc", lambda host, members, l: False)
     with pytest.raises(InternalError):
         decompose_pc(K4, [L1, L1])
 

@@ -4,6 +4,9 @@
   postcondition raises :class:`InternalError` instead.
 * ``enumerate_partitions`` (the Bell(n) walk) lives in ``hosts.py`` and is
   re-exported by ``__init__.py`` as a test oracle; no library code calls it.
+* Outside ``_kernels.py`` only ``theta.py`` names ``partition_table``:
+  every theta or partition-connectivity question about a host, or a set
+  of its edges, reads the table through ``theta._table``.
 * ``decompose.py`` does not count edges itself: a part's inside counts come
   from ``EdgeSubset.inside_counts`` and its circuits from
   ``sparse.min_pc_subgraph``, so each part is counted once per search.
@@ -49,6 +52,11 @@ def test_no_assert_statements(path):
 def test_no_bell_walk_outside_hosts():
     users = {p.name for p in FILES if "enumerate_partitions" in _names(_tree(p))}
     assert users == {"hosts.py", "__init__.py"}
+
+
+def test_only_theta_reads_the_partition_table():
+    users = {p.name for p in FILES if "partition_table" in _names(_tree(p))}
+    assert users == {"_kernels.py", "theta.py"}
 
 
 def test_packing_reads_part_counts_from_the_edge_subset():

@@ -5,32 +5,43 @@ from fractions import Fraction
 import pytest
 
 from partition_forge import (
+    HypothesisViolated,
+    MathConditionError,
     MultiGraph,
     boundary_count,
+    check_tough_extract,
     constant,
+    hyper_bounded,
     induced_edge_count,
     induced_host,
     is_pc,
     pc_components,
     pc_violation,
+    restricted_removal,
     scale,
     sigma,
+    spanning_host,
     theta,
     theta_oracle,
     theta_restricted,
     theta_without,
     vertex_bulk,
+    vertex_weights,
 )
+from partition_forge.theta import _spans_pc
 from conftest import (
     all_simple_graphs,
+    brute_cross,
     brute_is_pc,
     brute_theta,
     complete_graph,
     edge_sets_of,
+    iter_set_partitions,
     lv_const,
     lv_vertex_bulk,
     path_graph,
     random_connected_multigraph,
+    random_hypergraph,
     random_multigraph,
 )
 
@@ -106,7 +117,7 @@ def test_theta_limits():
     with pytest.raises(LimitExceeded):
         theta_oracle(big, constant(1))
     with pytest.raises(LimitExceeded):
-        pc_components(MultiGraph(11, []), constant(1))
+        pc_components(big, constant(1))
 
 
 FUNCTIONS = [
@@ -199,6 +210,121 @@ def test_basic_union_property(rng):
                 if x & y:
                     sub, _ = induced_host(g, x | y)
                     assert is_pc(sub, fn)
+
+
+def _small_hosts(rng, count, max_edges=12, hypergraphs=True):
+    """Random multigraphs and (alternately) rank-3 hypergraphs on 2..6
+    vertices, each with a demand drawn from five families."""
+    for i in range(count):
+        n = rng.randint(2, 6)
+        m = rng.randint(0, min(2 * n, max_edges))
+        if hypergraphs and i % 2:
+            host = random_hypergraph(rng, n, m, 3)
+        else:
+            host = random_multigraph(rng, n, m)
+        weights = vertex_weights([rng.randint(0, 2) for _ in range(n)])
+        fn = rng.choice([constant(1), constant(2), vertex_bulk(2, 1),
+                         vertex_bulk(1, 0), weights])
+        yield host, fn
+
+
+def _lval(fn):
+    return lambda block: fn.value(sum(1 << v for v in block))
+
+
+def test_edge_set_reader_matches_a_rebuilt_host(rng):
+    # Rechecks read the host's own partition table over a set of its edges;
+    # that agrees with rebuilding the spanning sub-host, and theta_restricted
+    # with the stripped host of restricted_removal.
+    for host, fn in _small_hosts(rng, 100):
+        members = [i for i in range(host.edge_count) if rng.random() < 0.6]
+        assert _spans_pc(host, members, fn) == is_pc(spanning_host(host, members), fn)
+        if host.is_hypergraph:
+            continue
+        s = rng.randrange(1 << host.n)
+        keep = [i for i in range(host.edge_count) if rng.random() < 0.3]
+        assert theta_restricted(host, fn, s, keep) == theta_oracle(
+            restricted_removal(host, s, keep), fn
+        )
+
+
+def test_pc_components_are_the_maximal_pc_sets(rng):
+    for host, fn in _small_hosts(rng, 60):
+        sets = edge_sets_of(host)
+        lval = _lval(fn)
+        pc_sets = []
+        for mask in range(1, 1 << host.n):
+            verts = [v for v in range(host.n) if mask >> v & 1]
+            inner = [e for e in sets if e <= set(verts)]
+            need = lval(verts)
+            if all(brute_cross(inner, part) >= sum(lval(b) for b in part) - need
+                   for part in iter_set_partitions(verts)):
+                pc_sets.append(mask)
+        maximal = [a for a in pc_sets if not any(a != b and a & b == a for b in pc_sets)]
+        comp = pc_components(host, fn)
+        assert sorted(comp.partition.blocks) == sorted(maximal)
+        assert comp.theta_value == brute_theta(host.n, sets, lval)
+
+
+def _reported(call, clause):
+    """The vertex set of a HypothesisViolated with the clause, None when
+    the call raises no such error."""
+    try:
+        call()
+    except HypothesisViolated as exc:
+        return exc.vertex_set if exc.clause == clause else "other clause"
+    except MathConditionError:
+        pass
+    return None
+
+
+def _members(mask, n):
+    return [v for v in range(n) if mask >> v & 1]
+
+
+def test_theta_sweeps_report_the_first_failing_set(rng):
+    # hyper_bounded and check_tough_extract read theta without S off one
+    # table of the host; the set they report is the first S, in mask order,
+    # that fails a sweep of theta_without, one S at a time.
+    reported = {"theta-sigma-condition": 0, "theta-condition": 0}
+    for host, fn in _small_hosts(rng, 120, max_edges=8):
+        n = host.n
+        lg = fn.value(host.full_mask)
+        h = [rng.randint(0, 4) for _ in range(n)]
+        without = [theta_without(host, fn, s) for s in range(1 << n)]
+        if fn.has_flags("subadditive"):
+            bad = [
+                s for s in range(1 << n)
+                if without[s] > sum(h[v] - fn.value(1 << v) for v in _members(s, n))
+                + lg - sigma(host, s)
+            ]
+            got = _reported(lambda: hyper_bounded(host, fn, h), "theta-sigma-condition")
+            assert got == (bad[0] if bad else None)
+            reported["theta-sigma-condition"] += bool(bad)
+    # A forced spanning tree meets, for these two demands, the component
+    # condition that check_tough_extract tests before its theta sweep.
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        host = random_connected_multigraph(rng, n, rng.randint(0, 3))
+        fn = rng.choice([constant(1), vertex_bulk(1, 0)])
+        lg = fn.value(host.full_mask)
+        h = [rng.randint(0, 2) for _ in range(n)]
+        without = [theta_without(host, fn, s) for s in range(1 << n)]
+        c = rng.choice([2, 3])
+        forced = range(n - 1)
+        bad = [
+            s for s in range(1 << n)
+            if not without[s] < 1 + lg + Fraction(fn.value(s), c - 1) + sum(
+                Fraction(c * h[v], 2 * (c - 1)) - Fraction(fn.value(1 << v), c - 1)
+                for v in _members(s, n)
+            )
+        ]
+        got = _reported(lambda: check_tough_extract(host, fn, h, forced, c),
+                        "theta-condition")
+        if got != "other clause":
+            assert got == (bad[0] if bad else None)
+            reported["theta-condition"] += bool(bad)
+    assert min(reported.values()) >= 10, reported
 
 
 def test_dense_hosts_have_nontrivial_connected_piece(rng):
