@@ -97,63 +97,49 @@ def assignment_best(k, edge_masks, slacks, cap):
     ``slacks`` is (m, 2**k).  Assignments are scanned in lexicographic
     order (part 0 < part 1 < ... < unused); the first maximum is kept.
     ``cap >= 0`` allows an early exit once that coverage is reached.
+    Each part keeps its room ``slack - counts``; an edge fits a part when
+    its row of the bool edge-in-set matrix is nowhere above the room, and
+    placing or lifting it is one row operation on that room.
     Returns ``(best_count, assignment)`` with value m meaning unused.
     """
     ne = edge_masks.shape[0]
     m = slacks.shape[0]
-    nm = 1 << k
     if ne == 0:
         return np.int64(0), np.zeros(0, dtype=np.int64)
-    counts = np.zeros((m, nm), dtype=np.int64)
-    assign = np.full(ne, -1, dtype=np.int64)
-    best = np.int64(-1)
-    best_assign = np.full(ne, m, dtype=np.int64)
+    ems = edge_masks[:, None]
+    inset = (np.arange(1 << k, dtype=np.int64) & ems) == ems
+    rooms = slacks.astype(np.int64)
+    assign = [-1] * ne
+    best = -1
+    best_assign = [m] * ne
     assigned = 0
     pos = 0
     while pos >= 0:
         cur = assign[pos]
-        em = edge_masks[pos]
+        row = inset[pos]
         if 0 <= cur < m:
-            for mask in range(nm):
-                if em & ~np.int64(mask) == 0:
-                    counts[cur, mask] -= 1
+            rooms[cur] += row
             assigned -= 1
         nxt = cur + 1
-        placed = False
-        while nxt <= m:
-            if nxt == m:
-                assign[pos] = m
-                placed = True
-                break
-            ok = True
-            for mask in range(nm):
-                if em & ~np.int64(mask) == 0:
-                    counts[nxt, mask] += 1
-                    if counts[nxt, mask] > slacks[nxt, mask]:
-                        ok = False
-            if ok:
-                assign[pos] = nxt
-                assigned += 1
-                placed = True
-                break
-            for mask in range(nm):
-                if em & ~np.int64(mask) == 0:
-                    counts[nxt, mask] -= 1
+        while nxt < m and not (row <= rooms[nxt]).all():
             nxt += 1
-        if not placed:
+        if nxt > m:
             assign[pos] = -1
             pos -= 1
             continue
+        assign[pos] = nxt
+        if nxt < m:
+            rooms[nxt] -= row
+            assigned += 1
         if pos == ne - 1:
             if assigned > best:
-                best = np.int64(assigned)
-                for i in range(ne):
-                    best_assign[i] = assign[i]
+                best = assigned
+                best_assign = assign[:]
                 if cap >= 0 and best >= cap:
-                    return best, best_assign
+                    break
         else:
             pos += 1
-    return best, best_assign
+    return np.int64(best), np.array(best_assign, dtype=np.int64)
 
 
 def pair_violation(tab, k, mode):

@@ -6,11 +6,13 @@ matroid, so a maximum family is a matroid partition (J. Edmonds, 1965).
 Greedy insertion starts it; shortest augmenting paths in the exchange
 graph on edges then grow it to the optimum.  Each search counts a part's
 edges once, in the cached :meth:`~partition_forge.hosts.EdgeSubset.inside_counts`
-of the part.  Independence is one comparison of an edge's row of the
-edge-in-set matrix with the part's room ``slack - counts``, and the
-circuit an edge closes in a part is the part's edges inside the minimal
-tight set containing it (:func:`~partition_forge.sparse.min_pc_subgraph`,
-which reads the same cached counts).
+of the part.  Independence is read from the edge-in-set matrix against the
+part's room ``slack - counts``: the greedy ANDs Python-int bitsets of an
+edge's row and the part's used-up sets, and each augmenting search
+compares the whole matrix with each part's room once, a fit row per part.
+The circuit an edge closes in a part is the part's edges inside the
+minimal tight set containing it (:func:`~partition_forge.sparse.min_pc_subgraph`,
+which reads the part's tight sets, cached on the part per set function).
 When no augmenting path is left, the vertex components of the edges the
 search reached form the witness partition that certifies maximality; its
 defining properties are re-verified before it is returned.  On instances
@@ -116,10 +118,12 @@ def _augment(host, functions, owner, contains):
     uncovered; the search starts from the uncovered edges.  ``contains``
     is the host's edge-in-set matrix (``sparse._containment``).  Each part
     is one :class:`EdgeSubset`, whose inside counts are computed once and
-    read both for the room ``slack - counts`` and by every circuit query.
-    An edge e moves straight into a part i not holding it when e fits the
-    room of part i; otherwise it may replace any edge of part i inside the
-    minimal tight set of part i that contains e (the circuit e closes).
+    read both for the room ``slack - counts`` and, through the tight sets
+    cached on the part, by every circuit query.  One comparison of the
+    matrix with a part's room gives the part's fit row: whether each edge
+    fits the part.  An edge e moves straight into a part i not holding it
+    when e fits part i; otherwise it may replace any edge of part i inside
+    the minimal tight set of part i that contains e (the circuit e closes).
     The first straight move ends a shortest augmenting path, which is
     applied to ``owner`` in place, and None is returned.  Without a path,
     returns the set of edges the search reached.
@@ -130,8 +134,9 @@ def _augment(host, functions, owner, contains):
         EdgeSubset(host, [e for e in range(host.edge_count) if owner[e] == i])
         for i in range(m)
     ]
-    rooms = [
-        l.slack_table(host.n) - part.inside_counts()
+    fits = [
+        (contains <= l.slack_table(host.n) - part.inside_counts())
+        .all(axis=1).tolist()
         for l, part in zip(functions, parts)
     ]
     parent = {e: None for e in range(host.edge_count) if owner[e] == m}
@@ -141,7 +146,7 @@ def _augment(host, functions, owner, contains):
         for i in range(m):
             if owner[e] == i:
                 continue
-            if np.all(contains[e] <= rooms[i]):
+            if fits[i][e]:
                 while e is not None:
                     owner[e], i = i, owner[e]
                     e = parent[e]

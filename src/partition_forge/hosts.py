@@ -222,7 +222,9 @@ class EdgeSubset:
     """Subset of a host's edge indices (a spanning subgraph).
 
     The subset never changes, so its inside-count table is computed once
-    and shared by every reader (:meth:`inside_counts`).
+    and shared by every reader (:meth:`inside_counts`), and so are the
+    tight sets that :func:`~partition_forge.sparse.min_pc_subgraph` reads
+    from it, one array per set function.
     """
 
     def __init__(self, host, members):
@@ -233,6 +235,7 @@ class EdgeSubset:
         self.host = host
         self.members = members
         self._inside = None
+        self._tight = {}
 
     @classmethod
     def full(cls, host):
@@ -382,16 +385,13 @@ def boundary_count(host, vertex_set):
 
 
 def restricted_removal(graph, vertex_set, keep):
-    """Drop every edge incident to the vertex set except the kept ones;
-    no vertices are removed."""
+    """Same-type host without the (hyper)edges incident to the vertex set,
+    except the kept ones; no vertices are removed."""
     s = as_mask(vertex_set, graph.n)
     kept = _edge_subset_indices(graph, keep)
-    edges = [
-        graph.edges[i]
-        for i in range(graph.edge_count)
-        if graph.edge_masks[i] & s == 0 or i in kept
-    ]
-    return MultiGraph(graph.n, edges)
+    return spanning_host(graph, [
+        i for i, em in enumerate(graph.edge_masks) if em & s == 0 or i in kept
+    ])
 
 
 def contract(host, vertex_set):

@@ -69,23 +69,34 @@ def _containment(host):
     return (masks & ems) == ems
 
 
+def _bitset(flags):
+    """Python int with bit j set where ``flags[j]`` is true."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 def _greedy_owner(host, functions):
     """Each edge, in index order, joins the first part it keeps sparse.
 
     Part i keeps the room ``slack - counts`` it has left on every vertex
     set, and an edge fits when it lies inside no set whose room is used
-    up.  Returns the owners and the host's :func:`_containment` matrix,
-    which the augmenting search reads too.  The slack tables come first,
-    so a host too large for them is refused before the matrix is built.
+    up.  Both sides of that test are Python-int bitsets over the 2**n
+    sets: the edge's row of the containment matrix, and the part's filled
+    sets (room <= 0), repacked only when an edge joins the part.  Returns
+    the owners and the host's :func:`_containment` matrix, which the
+    augmenting search reads too.  The slack tables come first, so a host
+    too large for them is refused before the matrix is built.
     """
     m = len(functions)
     rooms = [l.slack_table(host.n).copy() for l in functions]
     contains = _containment(host)
+    filled = [_bitset(room <= 0) for room in rooms]
     owner = [m] * host.edge_count
-    for e in range(host.edge_count):
+    for e, row in enumerate(contains):
+        inside = _bitset(row)
         for i in range(m):
-            if np.all(contains[e] <= rooms[i]):
-                rooms[i] -= contains[e]
+            if inside & filled[i] == 0:
+                rooms[i] -= row
+                filled[i] = _bitset(rooms[i] <= 0)
                 owner[e] = i
                 break
     return owner, contains
@@ -183,11 +194,13 @@ def min_pc_subgraph(edges, l, targets, *, trust_flags=None):
     For a sparse F, F[X] is partition-connected exactly when X is tight,
     ``e_F(X) = sum_{v in X} l(v) - l(X)``, and the tight sets containing a
     nonempty target set are closed under intersection.  The answer is the
-    intersection of all of them, so it is always ``unique``.  The counts
-    ``e_F`` are the edge set's cached :meth:`EdgeSubset.inside_counts`, so
-    repeated calls on one subset count its edges once.  Raises
-    :class:`NotSparse` when the edge set is not sparse and
-    :class:`Disconnected` when no tight set contains the targets.
+    intersection of all of them, so it is always ``unique``.  The tight
+    sets are read once per edge set and set function, from the edge set's
+    :meth:`EdgeSubset.inside_counts`, and cached on the edge set, so
+    repeated circuit queries on one part cost one mask filter each.
+    Raises :class:`NotSparse` when the edge set is not sparse (nothing is
+    cached then) and :class:`Disconnected` when no tight set contains the
+    targets.
     """
     if not isinstance(edges, EdgeSubset):
         raise ValidationError("min_pc_subgraph expects an EdgeSubset")
@@ -197,13 +210,15 @@ def min_pc_subgraph(edges, l, targets, *, trust_flags=None):
         raise ValidationError("target vertex set must be nonempty")
     ensure_properties(l, _BASE_FLAGS, host.n, trust=trust_flags)
     check(host.n, SUBSET_LIMIT, "vertex count")
-    slack = l.slack_table(host.n)
-    counts = edges.inside_counts()
-    bad = np.nonzero(counts > slack)[0]
-    if bad.size:
-        raise NotSparse("edge set is not l-sparse", vertex_set=int(bad[0]))
-    masks = np.arange(1 << host.n, dtype=np.int64)
-    tight = masks[(counts == slack) & (masks & y == y)]
+    tight = edges._tight.get(l)
+    if tight is None:
+        slack = l.slack_table(host.n)
+        counts = edges.inside_counts()
+        bad = np.nonzero(counts > slack)[0]
+        if bad.size:
+            raise NotSparse("edge set is not l-sparse", vertex_set=int(bad[0]))
+        tight = edges._tight[l] = np.nonzero(counts == slack)[0]
+    tight = tight[tight & y == y]
     if not tight.size:
         raise Disconnected("no partition-connected vertex set contains the targets")
     return MinPcResult(int(np.bitwise_and.reduce(tight)), True)

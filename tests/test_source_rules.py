@@ -10,6 +10,11 @@
 * ``decompose.py`` does not count edges itself: a part's inside counts come
   from ``EdgeSubset.inside_counts`` and its circuits from
   ``sparse.min_pc_subgraph``, so each part is counted once per search.
+* The packing search makes no NumPy call per (edge, part) pair: no
+  ``np.all``/``np.any`` (or ``.all()``/``.any()``) call inside a loop of
+  ``decompose._augment`` or ``sparse._greedy_owner``, which read one fit
+  row per part and Python-int bitsets instead, and no loop of
+  ``_kernels.assignment_best`` walks the 2**k masks one by one.
 """
 
 import ast
@@ -63,3 +68,46 @@ def test_packing_reads_part_counts_from_the_edge_subset():
     names = set(_names(_tree(SRC / "decompose.py")))
     assert "count_inside" not in names
     assert {"inside_counts", "min_pc_subgraph"} <= names
+
+
+def _function(path, name):
+    return next(
+        node for node in ast.walk(_tree(path))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def _loop_calls(func):
+    """Every call inside a ``for`` or ``while`` statement of the function."""
+    for loop in ast.walk(func):
+        if isinstance(loop, (ast.For, ast.While)):
+            yield from (n for n in ast.walk(loop) if isinstance(n, ast.Call))
+
+
+@pytest.mark.parametrize("path, name", [
+    ("decompose.py", "_augment"),
+    ("sparse.py", "_greedy_owner"),
+])
+def test_packing_search_makes_no_reduction_call_per_edge(path, name):
+    reductions = [
+        call.lineno for call in _loop_calls(_function(SRC / path, name))
+        if isinstance(call.func, ast.Attribute) and call.func.attr in ("all", "any")
+    ]
+    assert reductions == [], f"{path}:{name} reduces inside a loop at {reductions}"
+
+
+def test_assignment_oracle_has_no_per_mask_loop():
+    per_mask = [
+        loop.lineno
+        for loop in ast.walk(_function(SRC / "_kernels.py", "assignment_best"))
+        if isinstance(loop, ast.For)
+        and isinstance(loop.iter, ast.Call)
+        and getattr(loop.iter.func, "id", None) == "range"
+        and any(
+            isinstance(n, ast.Name) and n.id == "nm"
+            or isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)
+            for arg in loop.iter.args
+            for n in ast.walk(arg)
+        )
+    ]
+    assert per_mask == [], f"assignment_best loops over the masks at lines {per_mask}"

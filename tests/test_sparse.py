@@ -46,6 +46,7 @@ from conftest import (
 
 K4 = complete_graph(4)
 C3 = cycle_graph(3)
+L1 = constant(1)
 
 
 def test_is_sparse_examples():
@@ -197,6 +198,78 @@ def test_min_pc_subgraph_rejects_non_sparse():
     with pytest.raises(NotSparse) as err:
         min_pc_subgraph(EdgeSubset(C3, range(3)), constant(1), [0])
     assert err.value.vertex_set == 0b111
+
+
+def _random_host(rng, n):
+    from conftest import random_hypergraph
+
+    if rng.random() < 0.3 and n >= 3:
+        return random_hypergraph(rng, n, rng.randint(1, 7), 3)
+    return random_multigraph(rng, n, rng.randint(0, 9))
+
+
+def test_min_pc_subgraph_reads_each_set_function_on_its_own(rng):
+    # One part read under two set functions, in turn: each function gets
+    # its own tight sets (cached per function on the part), and every
+    # answer equals the superset scan.
+    from conftest import brute_min_pc
+
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        g = _random_host(rng, n)
+        # A constant(1)-sparse set is sparse for both functions below.
+        members = [i for i in max_sparse(g, L1).members if rng.random() < 0.8]
+        sub = EdgeSubset(g, members)
+        fns = [L1, rng.choice([constant(2), vertex_bulk(1, 0)])]
+        for fn in fns + fns:
+            targets = rng.sample(range(n), rng.randint(1, min(n, 3)))
+            expected = brute_min_pc(g, members, fn, targets)
+            if not expected:
+                with pytest.raises(Disconnected):
+                    min_pc_subgraph(sub, fn, targets)
+                continue
+            assert [min_pc_subgraph(sub, fn, targets).vertex_list()] == expected
+        assert set(sub._tight) == set(fns)
+
+
+def test_min_pc_subgraph_refuses_a_non_sparse_part_on_every_call(rng):
+    # The first dense mask is reported on every call; a refusal is never
+    # cached, and the same part still answers for a function it fits.
+    for _ in range(30):
+        n = rng.randint(3, 5)
+        g = _random_host(rng, n)
+        sub = EdgeSubset.full(g)
+        counts = [sum(1 for em in g.edge_masks if em & ~a == 0) for a in range(1 << n)]
+        dense = [a for a in range(1 << n) if counts[a] > max(0, bin(a).count("1") - 1)]
+        if not dense:
+            continue
+        for _ in range(3):
+            targets = rng.sample(range(n), rng.randint(1, n))
+            with pytest.raises(NotSparse) as err:
+                min_pc_subgraph(sub, L1, targets)
+            assert err.value.vertex_set == dense[0]
+        assert L1 not in sub._tight
+        roomy = constant(g.edge_count)
+        assert min_pc_subgraph(sub, roomy, [0]).vertex_list() == [0]
+        assert list(sub._tight) == [roomy]
+
+
+def test_greedy_owner_matches_a_direct_sparse_greedy(rng):
+    # Each edge, in index order, goes to the first part that stays sparse.
+    from partition_forge.sparse import _greedy_owner
+
+    families = [L1, constant(2), vertex_bulk(1, 0), vertex_bulk(2, 1)]
+    for _ in range(60):
+        g = _random_host(rng, rng.randint(2, 6))
+        fns = [rng.choice(families) for _ in range(rng.randint(1, 3))]
+        parts = [[] for _ in fns]
+        expected = []
+        for e in range(g.edge_count):
+            fit = [i for i, fn in enumerate(fns) if is_sparse(g, parts[i] + [e], fn)]
+            expected.append(fit[0] if fit else len(fns))
+            if fit:
+                parts[fit[0]].append(e)
+        assert _greedy_owner(g, fns)[0] == expected
 
 
 def test_e_star_examples():

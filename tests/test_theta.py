@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from partition_forge import (
+    Hypergraph,
     HypothesisViolated,
     MathConditionError,
     MultiGraph,
@@ -246,6 +247,29 @@ def test_edge_set_reader_matches_a_rebuilt_host(rng):
         assert theta_restricted(host, fn, s, keep) == theta_oracle(
             restricted_removal(host, s, keep), fn
         )
+
+
+def test_restricted_removal_keeps_the_host_type(rng):
+    # A hypergraph keeps its hyperedges (heads included) and its theta is
+    # theta_restricted's; a graph keeps the plain edge filter it always had.
+    for host, fn in _small_hosts(rng, 80):
+        s = rng.randrange(1 << host.n)
+        keep = [i for i in range(host.edge_count) if rng.random() < 0.3]
+        stays = [
+            i for i, em in enumerate(host.edge_masks) if em & s == 0 or i in keep
+        ]
+        out = restricted_removal(host, s, keep)
+        assert theta_oracle(out, fn) == theta_restricted(host, fn, s, keep)
+        if host.is_hypergraph:
+            assert out == Hypergraph(host.n, [host.hyperedges[i] for i in stays])
+        else:
+            assert out == MultiGraph(host.n, [host.edges[i] for i in stays])
+    directed = random_hypergraph(rng, 5, 8, 3, directed=True)
+    out = restricted_removal(directed, 0b1, [0, 1])
+    assert out.heads == tuple(
+        he.head for i, he in enumerate(directed.hyperedges)
+        if he.mask & 1 == 0 or i in (0, 1)
+    )
 
 
 def test_pc_components_are_the_maximal_pc_sets(rng):
