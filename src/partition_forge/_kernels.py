@@ -14,6 +14,13 @@ edges inside X, the crossing count of a partition of S is
 :func:`partition_table` fills g for every S at once in O(3^k), one
 subset size at a time, from a per-k index of (S, block) pairs.
 
+Arc checks read one in-degree table: an arc enters A when its head is in
+A and its mask is not inside A, so ``indeg[A]`` is the count of heads
+inside A minus the count of arc masks inside A, two :func:`count_inside`
+tables.  The orientation search scores the 2**m orientations of m edges
+against the s sets of positive demand in O(2**m * s) NumPy work, in
+blocks of about 1 MB, instead of a Python loop per orientation and set.
+
 Every kernel is plain NumPy/Python; ``perfbench/run.py`` times each one
 end to end and per layer (``perfbench/README.md``).
 """
@@ -44,50 +51,52 @@ def count_inside(k, edge_masks):
     return counts
 
 
+def _in_degrees(k, heads, masks):
+    """indeg[A] = number of arcs entering A: the heads inside A minus the
+    arcs (head in their mask) wholly inside A."""
+    return count_inside(k, np.int64(1) << heads) - count_inside(k, masks)
+
+
+# Entries of one block of the orientation search: int64, so about 1 MB.
+_BLOCK_ENTRIES = 1 << 17
+
+
 def find_orientation(k, tails, heads, ltab):
     """First orientation bitmask (bit i set = edge i points tails->heads)
-    whose every vertex set A has in-degree >= ltab[A]; -1 if none."""
+    whose every nonempty vertex set A has in-degree >= ltab[A]; -1 if none.
+
+    With every bit 0, edge i enters A when tails[i] is in A and heads[i]
+    is not; setting bit i adds [heads[i] in A] - [tails[i] in A].  Only
+    the sets with positive demand are scored.  The low bits of the
+    orientations run through every pattern in each block, so their gains
+    form one table, built one bit at a time; each block of orientations,
+    in increasing order, adds its high bits' gain to that table and keeps
+    the first row that covers every shortfall.
+    """
     ne = tails.shape[0]
-    nm = 1 << k
-    for om in range(1 << ne):
-        ok = True
-        for mask in range(1, nm):
-            need = ltab[mask]
-            if need <= 0:
-                continue
-            indeg = np.int64(0)
-            for i in range(ne):
-                if (om >> i) & 1 == 1:
-                    h = heads[i]
-                    t = tails[i]
-                else:
-                    h = tails[i]
-                    t = heads[i]
-                if (mask >> h) & 1 == 1 and (mask >> t) & 1 == 0:
-                    indeg += 1
-            if indeg < need:
-                ok = False
-                break
-        if ok:
-            return np.int64(om)
+    sets = np.flatnonzero(ltab[1:] > 0) + 1
+    masks = (np.int64(1) << tails) | (np.int64(1) << heads)
+    short = ltab[sets] - _in_degrees(k, tails, masks)[sets]
+    gains = ((sets >> heads[:, None]) & 1) - ((sets >> tails[:, None]) & 1)
+    rows = _BLOCK_ENTRIES // max(sets.size, 1)
+    low = min(ne, max(rows.bit_length() - 1, 0))
+    table = np.zeros((1 << low, sets.size), dtype=np.int64)
+    for i in range(low):
+        np.add(table[:1 << i], gains[i], out=table[1 << i:2 << i])
+    high_bits = np.arange(ne - low)
+    for block in range(1 << (ne - low)):
+        need = short - ((block >> high_bits) & 1) @ gains[low:]
+        hits = np.flatnonzero((table >= need).all(axis=1))
+        if hits.size:
+            return np.int64(block << low | hits[0])
     return np.int64(-1)
 
 
 def arc_violation(k, head_vertices, arc_masks, ltab):
-    """First vertex set A whose in-degree (arcs with head in A leaving a
-    vertex outside A) is below ltab[A]; -1 if none."""
-    ne = head_vertices.shape[0]
-    for mask in range(1, 1 << k):
-        need = ltab[mask]
-        if need <= 0:
-            continue
-        indeg = np.int64(0)
-        for i in range(ne):
-            if (mask >> head_vertices[i]) & 1 == 1 and arc_masks[i] & ~np.int64(mask) != 0:
-                indeg += 1
-        if indeg < need:
-            return np.int64(mask)
-    return np.int64(-1)
+    """First nonempty vertex set A whose in-degree (arcs with head in A
+    leaving a vertex outside A) is below ltab[A]; -1 if none."""
+    short = np.flatnonzero(_in_degrees(k, head_vertices, arc_masks)[1:] < ltab[1:])
+    return np.int64(short[0] + 1) if short.size else np.int64(-1)
 
 
 def assignment_best(k, edge_masks, slacks, cap):
@@ -123,7 +132,9 @@ def assignment_best(k, edge_masks, slacks, cap):
         nxt = cur + 1
         while nxt < m and not (row <= rooms[nxt]).all():
             nxt += 1
-        if nxt > m:
+        # Leaving this edge out cannot beat the kept maximum when even
+        # every later edge placed would only tie it.
+        if nxt > m or nxt == m and assigned + ne - 1 - pos <= best:
             assign[pos] = -1
             pos -= 1
             continue

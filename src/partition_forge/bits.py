@@ -5,8 +5,6 @@ Vertex sets are Python ints used as bit masks (vertex ``v`` is bit
 further capped by the limits in :mod:`partition_forge.limits`.
 """
 
-from itertools import combinations
-
 from .errors import ValidationError
 
 
@@ -53,10 +51,3 @@ def as_mask(vertex_set, n, what="vertex set"):
         m |= 1 << v
     return m
 
-
-def submasks_by_size(mask, size):
-    """All submasks of ``mask`` with ``size`` bits, lexicographic by the
-    sorted vertex tuple."""
-    verts = bit_list(mask)
-    for combo in combinations(verts, size):
-        yield mask_of(combo)

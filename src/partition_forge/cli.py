@@ -19,9 +19,11 @@ from . import limits as limits_mod
 from .bits import bit_list, mask_of
 from .decompose import decompose_pc, pack_trees_pc
 from .errors import (
+    ConditionViolated,
     InternalError,
     LimitExceeded,
     MathConditionError,
+    NotPartitionConnected,
     PartitionForgeError,
     ValidationError,
 )
@@ -209,19 +211,8 @@ def cmd_check_pc(args):
     l = fn_sum(*load_setfns(args, host))
     witness = pc_violation(host, l, limit=args.max_n)
     if witness is not None:
-        raise MathConditionErrorWithPartition(witness)
+        raise NotPartitionConnected("host is not partition-connected", witness)
     return {"partition_connected": True, "l_of_ground": l.value(host.full_mask)}
-
-
-class MathConditionErrorWithPartition(MathConditionError):
-    kind = "not-partition-connected"
-
-    def __init__(self, partition):
-        super().__init__("host is not partition-connected")
-        self.partition = partition
-
-    def witness_payload(self):
-        return {"partition": self.partition.blocks_as_lists()}
 
 
 def cmd_validate_setfn(args):
@@ -364,7 +355,9 @@ def cmd_orient(args):
         raise ValidationError("plain orientation takes exactly one --setfn")
     orientation = orient_arc_connected(host, fns[0], limit=args.max_edges)
     if orientation is None:
-        raise MathConditionErrorWithPartition(pc_violation(host, fns[0]))
+        raise NotPartitionConnected(
+            "host is not partition-connected", pc_violation(host, fns[0])
+        )
     return {
         "heads": list(orientation.head_of),
         "arcs": [list(a) for a in orientation.arcs()],
@@ -381,22 +374,9 @@ def cmd_condition(args):
         host, l, x, _eta(args.eta, host.n), _fraction(args.lam), args.variant
     )
     if not verdict.holds:
-        raise ConditionReport(verdict)
+        raise ConditionViolated("sufficient condition fails",
+                                vertex_set=verdict.witness, margin=verdict.margin)
     return {"holds": True, "margin": str(verdict.margin)}
-
-
-class ConditionReport(MathConditionError):
-    kind = "condition-violated"
-
-    def __init__(self, verdict):
-        super().__init__("sufficient condition fails")
-        self.verdict = verdict
-
-    def witness_payload(self):
-        return {
-            "vertex_set": self.verdict.witness_list(),
-            "margin": str(self.verdict.margin),
-        }
 
 
 COMMANDS = {

@@ -116,11 +116,9 @@ def min_arc_subdigraph(directed, l, *, trust_flags=None):
     checked in that case.
     """
     n, all_heads, all_masks = _arc_arrays(directed)
-    if arc_connectivity_violation(directed, l) is not None:
-        raise NotArcConnected(
-            "input is not l-arc-connected",
-            vertex_set=arc_connectivity_violation(directed, l),
-        )
+    bad = arc_connectivity_violation(directed, l)
+    if bad is not None:
+        raise NotArcConnected("input is not l-arc-connected", vertex_set=bad)
     ltab = l.table(n) if n else None
     members = list(range(len(all_heads)))
     for i in list(members):

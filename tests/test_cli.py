@@ -101,6 +101,37 @@ def test_check_pc_failure_carries_partition(files):
     assert doc["error"]["partition"]
 
 
+def _error_line(command, error):
+    return (f'{{"command":"{command}","error":{error},'
+            '"schema":"partition-forge/1"}\n')
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["check-pc", "--graph", "tree", "--setfn", "const1", "--setfn", "const1"],
+     _error_line("check-pc", '{"kind":"not-partition-connected","message":'
+                 '"host is not partition-connected","partition":[[0],[1],[2],[3]]}')),
+    (["orient", "--graph", "single", "--setfn", "singleton"],
+     _error_line("orient", '{"kind":"not-partition-connected","message":'
+                 '"host is not partition-connected","partition":[[0],[1]]}')),
+    (["condition", "--graph", "tree", "--setfn", "const1", "--setfn", "const1",
+      "--eta", "5", "--lambda", "1"],
+     _error_line("condition", '{"kind":"condition-violated","margin":"-3",'
+                 '"message":"sufficient condition fails","vertex_set":[]}')),
+    (["condition", "--graph", "k4", "--setfn", "const1",
+      "--eta", "1", "--lambda", "0"],
+     _error_line("condition", '{"kind":"condition-violated","margin":"-1",'
+                 '"message":"sufficient condition fails","vertex_set":[0,1]}')),
+], ids=["check-pc", "orient", "condition-empty-set", "condition"])
+def test_failed_condition_report_bytes(files, tmp_path, argv, expected):
+    extra = {"single": {"type": "graph", "n": 2, "edges": [[0, 1]]},
+             "singleton": {"kind": "vertex-bulk", "vertex": 1, "bulk": 0}}
+    for name, doc in extra.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [files.get(a, a) for a in argv] + ["--format", "json"]
+    assert run_cli(argv) == (2, expected)
+
+
 def test_cli_determinism(files):
     argv = [
         "decompose", "--graph", files["k4"],

@@ -248,6 +248,17 @@ def test_hypergraph_packing_mirrors_graph_case(rng):
         witness_partition(h, fam)
 
 
+def test_oracle_family_prunes_branches_that_cannot_win():
+    # K5 plus three parallel edges on two more vertices: two forests hold
+    # 10 of the 13 edges, and the coverage cap of 12 is never reached.
+    g = MultiGraph(7, list(complete_graph(5).edges) + [(5, 6)] * 3)
+    start = time.perf_counter()
+    fam = max_sparse_family(g, [L1, L1], method="oracle")
+    assert time.perf_counter() - start < 1.0
+    assert fam.size() == max_sparse_family(g, [L1, L1], method="augment").size() == 10
+    assert all(is_sparse(g, p.members, L1) for p in fam.parts)
+
+
 @pytest.mark.parametrize("n", [6, 7])
 def test_decompose_complete_graphs_fast(n):
     g = complete_graph(n)

@@ -3,6 +3,7 @@ count or a direct search over the same seeded cases."""
 
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -120,8 +121,26 @@ def test_sparse_and_count_match_direct_counts(cases):
 
 
 def _in_degree(a, arcs):
-    """Arcs (head, tail) entering the vertex set a, counted directly."""
-    return sum(1 for h, t in arcs if a >> h & 1 and not a >> t & 1)
+    """Arcs (head, vertex mask) entering the vertex set a, counted
+    directly: the head is in a and some vertex of the arc is not."""
+    return sum(1 for h, m in arcs if a >> h & 1 and m & ~a)
+
+
+def _first_orientation(k, pairs, tab):
+    """First orientation bitmask (bit i set: edge i points to pairs[i][1])
+    whose every nonempty set meets its demand, by direct search."""
+    for om in range(1 << len(pairs)):
+        arcs = [(h if om >> i & 1 else t, 1 << t | 1 << h)
+                for i, (t, h) in enumerate(pairs)]
+        if all(_in_degree(a, arcs) >= tab[a] for a in range(1, 1 << k)):
+            return om
+    return -1
+
+
+def _first_short(k, arcs, tab):
+    return next(
+        (a for a in range(1, 1 << k) if _in_degree(a, arcs) < tab[a]), -1
+    )
 
 
 def test_orientation_kernels_match_direct_search():
@@ -136,22 +155,68 @@ def test_orientation_kernels_match_direct_search():
         tab = _random_table(rng, k, lo=0, hi=2)
         tab[(1 << k) - 1] = 0
         pairs = [(int(t), int(h)) for t, h in zip(tails, heads)]
-
-        def covers(om):
-            # Bit i set: edge i points tails[i] -> heads[i].
-            arcs = [(h, t) if om >> i & 1 else (t, h)
-                    for i, (t, h) in enumerate(pairs)]
-            return all(_in_degree(a, arcs) >= tab[a] for a in range(1 << k))
-
-        first = next((om for om in range(1 << m) if covers(om)), -1)
+        first = _first_orientation(k, pairs, tab)
         assert int(K.find_orientation(k, tails, heads, tab)) == first
         arc_masks = np.asarray([(1 << t) | (1 << h) for t, h in pairs],
                                dtype=np.int64)
-        arcs = [(h, t) for t, h in pairs]
-        first_short = next(
-            (a for a in range(1 << k) if _in_degree(a, arcs) < tab[a]), -1
+        arcs = [(h, 1 << t | 1 << h) for t, h in pairs]
+        assert int(K.arc_violation(k, heads, arc_masks, tab)) == _first_short(
+            k, arcs, tab
         )
-        assert int(K.arc_violation(k, heads, arc_masks, tab)) == first_short
+
+
+@st.composite
+def demands(draw, k):
+    """Signed demands -1..2 on every vertex set of {0..k-1}."""
+    return np.asarray(
+        draw(st.lists(st.integers(-1, 2), min_size=1 << k, max_size=1 << k)),
+        dtype=np.int64,
+    )
+
+
+@st.composite
+def headed_arcs(draw):
+    """Arcs of a graph (rank 2) or a rank-3 directed hypergraph on k <= 7
+    vertices, possibly none, each headed by its first vertex; an arc of
+    one vertex enters no set."""
+    k = draw(st.integers(1, 7))
+    rank = draw(st.sampled_from([2, 3]))
+    arcs = draw(st.lists(
+        st.lists(st.integers(0, k - 1), min_size=1, max_size=rank, unique=True),
+        max_size=10,
+    ))
+    return k, [(verts[0], sum(1 << v for v in verts)) for verts in arcs], draw(demands(k))
+
+
+@given(headed_arcs())
+@settings(max_examples=120, deadline=None)
+def test_arc_violation_matches_direct_in_degrees(instance):
+    k, arcs, tab = instance
+    heads = np.asarray([h for h, _ in arcs], dtype=np.int64)
+    masks = np.asarray([m for _, m in arcs], dtype=np.int64)
+    assert int(K.arc_violation(k, heads, masks, tab)) == _first_short(k, arcs, tab)
+
+
+@st.composite
+def orientation_instances(draw):
+    """Edges (loops allowed) on k <= 5 vertices, at most 8 of them."""
+    k = draw(st.integers(1, 5))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=8
+    ))
+    return k, pairs, draw(demands(k))
+
+
+@given(orientation_instances(), st.sampled_from([1, 8, K._BLOCK_ENTRIES]))
+@settings(max_examples=120, deadline=None)
+def test_find_orientation_matches_direct_search(instance, block_entries):
+    # Small blocks split the orientations into many blocks of one table.
+    k, pairs, tab = instance
+    tails = np.asarray([t for t, _ in pairs], dtype=np.int64)
+    heads = np.asarray([h for _, h in pairs], dtype=np.int64)
+    with mock.patch.object(K, "_BLOCK_ENTRIES", block_entries):
+        got = int(K.find_orientation(k, tails, heads, tab))
+    assert got == _first_orientation(k, pairs, tab)
 
 
 def test_assignment_best_matches_product_scan(cases):
@@ -215,6 +280,9 @@ def test_empty_edge_sets():
     val, rgs, exceeded = K.partition_scan(2, empty, tab, K.HUGE)
     assert int(val) == 0 and not exceeded
     assert int(K.sparse_violation(2, empty, tab)) == -1
+    assert int(K.arc_violation(2, empty, empty, tab)) == -1
+    assert int(K.find_orientation(2, empty, empty, tab)) == 0
+    assert int(K.find_orientation(2, empty, empty, tab + 1)) == -1
     best, assign = K.assignment_best(2, empty, np.zeros((1, 4), dtype=np.int64),
                                      np.int64(-1))
     assert int(best) == 0 and len(assign) == 0

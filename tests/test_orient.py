@@ -1,5 +1,7 @@
 """Orientations, minimal arc-connected subdigraphs, and trimming."""
 
+import random
+import time
 from math import ceil, floor
 
 import pytest
@@ -67,6 +69,16 @@ def test_orientation_existence_matches_connectivity_exhaustive():
             for g in all_multigraphs(n, 6):
                 o = orient_arc_connected(g, fn)
                 assert (o is not None) == is_pc(g, fn)
+
+
+def test_infeasible_orientation_search_returns_quickly():
+    # 19 random edges on vertices 0-3 and one edge (4, 5): one of 4 and 5
+    # has in-degree 0 in every one of the 2**20 orientations.
+    rng = random.Random(0)
+    g = MultiGraph(6, [tuple(rng.sample(range(4), 2)) for _ in range(19)] + [(4, 5)])
+    start = time.perf_counter()
+    assert orient_arc_connected(g, SINGLETON_1) is None
+    assert time.perf_counter() - start < 2.0
 
 
 def test_orientation_satisfies_demands(rng):

@@ -13,8 +13,10 @@
 * The packing search makes no NumPy call per (edge, part) pair: no
   ``np.all``/``np.any`` (or ``.all()``/``.any()``) call inside a loop of
   ``decompose._augment`` or ``sparse._greedy_owner``, which read one fit
-  row per part and Python-int bitsets instead, and no loop of
-  ``_kernels.assignment_best`` walks the 2**k masks one by one.
+  row per part and Python-int bitsets instead.
+* No loop of ``_kernels.assignment_best``, ``find_orientation`` or
+  ``arc_violation`` walks the 2**k vertex sets one by one: they read
+  whole tables (the edge-in-set matrix, the in-degree table).
 """
 
 import ast
@@ -96,18 +98,30 @@ def test_packing_search_makes_no_reduction_call_per_edge(path, name):
     assert reductions == [], f"{path}:{name} reduces inside a loop at {reductions}"
 
 
-def test_assignment_oracle_has_no_per_mask_loop():
-    per_mask = [
-        loop.lineno
-        for loop in ast.walk(_function(SRC / "_kernels.py", "assignment_best"))
-        if isinstance(loop, ast.For)
+def _walks_the_masks(loop):
+    """A ``for`` over a ``range`` bounded by ``nm`` or by a shift by ``k``,
+    the kernel's vertex count: one iteration per vertex set."""
+    return (
+        isinstance(loop, ast.For)
         and isinstance(loop.iter, ast.Call)
         and getattr(loop.iter.func, "id", None) == "range"
         and any(
             isinstance(n, ast.Name) and n.id == "nm"
             or isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)
+            and isinstance(n.right, ast.Name) and n.right.id == "k"
             for arg in loop.iter.args
             for n in ast.walk(arg)
         )
+    )
+
+
+@pytest.mark.parametrize("name", [
+    "assignment_best", "find_orientation", "arc_violation",
+])
+def test_kernel_has_no_per_mask_loop(name):
+    per_mask = [
+        loop.lineno
+        for loop in ast.walk(_function(SRC / "_kernels.py", name))
+        if _walks_the_masks(loop)
     ]
-    assert per_mask == [], f"assignment_best loops over the masks at lines {per_mask}"
+    assert per_mask == [], f"{name} loops over the masks at lines {per_mask}"
