@@ -106,30 +106,114 @@ def _error_line(command, error):
             '"schema":"partition-forge/1"}\n')
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["check-pc", "--graph", "tree", "--setfn", "const1", "--setfn", "const1"],
-     _error_line("check-pc", '{"kind":"not-partition-connected","message":'
-                 '"host is not partition-connected","partition":[[0],[1],[2],[3]]}')),
-    (["orient", "--graph", "single", "--setfn", "singleton"],
-     _error_line("orient", '{"kind":"not-partition-connected","message":'
-                 '"host is not partition-connected","partition":[[0],[1]]}')),
-    (["condition", "--graph", "tree", "--setfn", "const1", "--setfn", "const1",
-      "--eta", "5", "--lambda", "1"],
-     _error_line("condition", '{"kind":"condition-violated","margin":"-3",'
-                 '"message":"sufficient condition fails","vertex_set":[]}')),
-    (["condition", "--graph", "k4", "--setfn", "const1",
-      "--eta", "1", "--lambda", "0"],
-     _error_line("condition", '{"kind":"condition-violated","margin":"-1",'
-                 '"message":"sufficient condition fails","vertex_set":[0,1]}')),
-], ids=["check-pc", "orient", "condition-empty-set", "condition"])
-def test_failed_condition_report_bytes(files, tmp_path, argv, expected):
-    extra = {"single": {"type": "graph", "n": 2, "edges": [[0, 1]]},
-             "singleton": {"kind": "vertex-bulk", "vertex": 1, "bulk": 0}}
-    for name, doc in extra.items():
+def _error_text(command, *fields):
+    return "".join(f"{line}\n" for line in (
+        f"command: {command}", *(f"error.{f}" for f in fields),
+        "schema: partition-forge/1"))
+
+
+K4_DOUBLED_DOC = {"type": "graph", "n": 4, "edges": K4_DOC["edges"] * 2}
+REPORT_FILES = {
+    "single": {"type": "graph", "n": 2, "edges": [[0, 1]]},
+    "cycle": {"type": "graph", "n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+    "k4d": K4_DOUBLED_DOC,
+    "triple": {"type": "hypergraph", "n": 3, "hyperedges": [
+        {"vertices": [0, 1, 2]}, {"vertices": [0, 1, 2]}, {"vertices": [0, 1, 2]},
+        {"vertices": [0, 1]}]},
+    "headed": {"type": "hypergraph", "n": 3,
+               "hyperedges": [{"vertices": [0, 1, 2], "head": 0}]},
+    "singleton": {"kind": "vertex-bulk", "vertex": 1, "bulk": 0},
+    "singletons": {"kind": "table", "n": 3, "default": 0,
+                   "values": [["0", 1], ["1", 1], ["2", 1]],
+                   "assume": ["positively-intersecting-supermodular"]},
+    "false-flag": {"kind": "table", "n": 2, "default": 0,
+                   "values": [["0", 1], ["1", 1], ["0,1", 5]],
+                   "assume": ["nonincreasing"], "validate": True},
+}
+
+
+@pytest.mark.parametrize("fmt, argv, code, expected", [
+    ("json", ["check-pc", "--graph", "tree", "--setfn", "const1", "--setfn", "const1"],
+     2, _error_line("check-pc", '{"kind":"not-partition-connected","message":'
+                    '"host is not partition-connected","partition":[[0],[1],[2],[3]]}')),
+    ("text", ["check-pc", "--graph", "tree", "--setfn", "const1", "--setfn", "const1"],
+     2, _error_text("check-pc", "kind: not-partition-connected",
+                    "message: host is not partition-connected",
+                    "partition: [[0], [1], [2], [3]]")),
+    ("json", ["orient", "--graph", "single", "--setfn", "singleton"],
+     2, _error_line("orient", '{"kind":"not-partition-connected","message":'
+                    '"host is not partition-connected","partition":[[0],[1]]}')),
+    ("json", ["condition", "--graph", "tree", "--setfn", "const1", "--setfn", "const1",
+              "--eta", "5", "--lambda", "1"],
+     2, _error_line("condition", '{"kind":"condition-violated","margin":"-3",'
+                    '"message":"sufficient condition fails","vertex_set":[]}')),
+    ("json", ["condition", "--graph", "k4", "--setfn", "const1",
+              "--eta", "1", "--lambda", "0"],
+     2, _error_line("condition", '{"kind":"condition-violated","margin":"-1",'
+                    '"message":"sufficient condition fails","vertex_set":[0,1]}')),
+    ("text", ["condition", "--graph", "k4", "--setfn", "const1",
+              "--eta", "1", "--lambda", "0"],
+     2, _error_text("condition", "kind: condition-violated", "margin: -1",
+                    "message: sufficient condition fails", "vertex_set: [0, 1]")),
+    ("json", ["orient", "--graph", "tree", "--setfn", "singleton", "--u", "0"],
+     2, _error_line("orient", '{"kind":"condition-violated","message":'
+                    '"host is not 2*(sum l_i)-edge-connected","vertex_set":[0]}')),
+    ("json", ["extract", "--graph", "tree", "--setfn", "const1",
+              "--preset", "edge-connected", "--k", "2"],
+     2, _error_line("extract", '{"clause":"kl-edge-connected","kind":"hypothesis-violated",'
+                    '"message":"host is not (k*l)-edge-connected","vertex_set":[0]}')),
+    ("text", ["extract", "--graph", "tree", "--setfn", "const1",
+              "--preset", "edge-connected", "--k", "2"],
+     2, _error_text("extract", "clause: kl-edge-connected", "kind: hypothesis-violated",
+                    "message: host is not (k*l)-edge-connected", "vertex_set: [0]")),
+    ("json", ["extract", "--graph", "cycle", "--setfn", "const1",
+              "--preset", "partition-connected", "--k", "2"],
+     2, _error_line("extract", '{"clause":"kl-partition-connected",'
+                    '"kind":"hypothesis-violated","message":'
+                    '"host is not (k*l)-partition-connected",'
+                    '"partition":[[0],[1],[2],[3]]}')),
+    ("json", ["trim", "--hypergraph", "triple", "--setfn", "const1", "--goal", "sparse"],
+     2, _error_line("trim", '{"kind":"not-sparse","message":"host is not l-sparse",'
+                    '"vertex_set":[0,1,2]}')),
+    ("text", ["trim", "--hypergraph", "triple", "--setfn", "const1", "--goal", "sparse"],
+     2, _error_text("trim", "kind: not-sparse", "message: host is not l-sparse",
+                    "vertex_set: [0, 1, 2]")),
+    ("json", ["trim", "--hypergraph", "headed", "--setfn", "singletons", "--goal", "arc"],
+     2, _error_line("trim", '{"kind":"not-arc-connected",'
+                    '"message":"host is not l-arc-connected","vertex_set":[1]}')),
+    ("json", ["theta", "--graph", "single", "--setfn", "false-flag"],
+     3, _error_line("theta", '{"kind":"validation","message":'
+                    '"declared flags fail validation: [\'nonincreasing\']"}')),
+    ("text", ["theta", "--graph", "single", "--setfn", "false-flag"],
+     3, _error_text("theta", "kind: validation",
+                    "message: declared flags fail validation: ['nonincreasing']")),
+    ("json", ["theta", "--graph", "k4", "--setfn", "const1", "--max-n", "2"],
+     4, _error_line("theta", '{"kind":"limit-exceeded",'
+                    '"message":"vertex count 4 exceeds limit 2"}')),
+    ("text", ["theta", "--graph", "k4", "--setfn", "const1", "--max-n", "2"],
+     4, _error_text("theta", "kind: limit-exceeded",
+                    "message: vertex count 4 exceeds limit 2")),
+    ("json", ["decompose", "--graph", "k4", "--setfn", "const1", "--setfn", "const1"],
+     5, _error_line("decompose", '{"kind":"internal",'
+                    '"message":"a part failed its recheck"}')),
+    ("text", ["decompose", "--graph", "k4", "--setfn", "const1", "--setfn", "const1"],
+     5, _error_text("decompose", "kind: internal", "message: a part failed its recheck")),
+], ids=["check-pc", "check-pc-text", "orient", "condition-empty-set", "condition",
+        "condition-text", "condition-no-margin", "hypothesis-set", "hypothesis-set-text",
+        "hypothesis-partition", "not-sparse", "not-sparse-text", "not-arc-connected",
+        "flag-violation", "flag-violation-text", "limit", "limit-text", "internal",
+        "internal-text"])
+def test_failed_condition_report_bytes(files, tmp_path, monkeypatch, fmt, argv, code,
+                                       expected):
+    import partition_forge.decompose as decompose
+
+    if code == 5:
+        monkeypatch.setattr(decompose, "_spans_pc", lambda host, members, l: False)
+    for name, doc in REPORT_FILES.items():
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    argv = [files.get(a, a) for a in argv] + ["--format", "json"]
-    assert run_cli(argv) == (2, expected)
+    argv = [files.get(a, a) for a in argv] + ["--format", fmt]
+    assert run_cli(argv) == (code, expected)
 
 
 def test_cli_determinism(files):
