@@ -20,9 +20,6 @@ from .bits import bit_list, mask_of
 from .decompose import decompose_pc, pack_trees_pc
 from .errors import (
     ConditionViolated,
-    InternalError,
-    LimitExceeded,
-    MathConditionError,
     NotPartitionConnected,
     PartitionForgeError,
     ValidationError,
@@ -106,7 +103,6 @@ def parse_setfn(doc):
             raise ValidationError(f"unknown set function kind {kind!r}")
         if doc.get("assume") and kind != "table":
             fn = fn.with_flags(*doc["assume"])
-    fn._wants_validation = bool(doc.get("validate"))
     return fn
 
 
@@ -132,19 +128,19 @@ def load_host(args):
 
 
 def load_setfns(args, host=None):
-    fns = [parse_setfn(_load(p)) for p in args.setfn or []]
-    if not fns:
+    loaded = [(doc, parse_setfn(doc)) for doc in map(_load, args.setfn or [])]
+    if not loaded:
         raise ValidationError("at least one --setfn file is required")
     if host is not None:
-        for fn in fns:
-            if getattr(fn, "_wants_validation", False):
+        for doc, fn in loaded:
+            if doc.get("validate"):
                 report = validate(fn, host.n)
                 bad = report.declared_failures(fn)
                 if bad:
                     raise ValidationError(
                         f"declared flags fail validation: {bad}"
                     )
-    return fns
+    return [fn for _, fn in loaded]
 
 
 def _fraction(text):
@@ -465,8 +461,6 @@ def _emit(payload, fmt, stream):
         if isinstance(value, dict):
             for k in sorted(value):
                 yield from lines(f"{prefix}{k}.", value[k])
-        elif isinstance(value, list):
-            yield f"{prefix[:-1]}: {value}"
         else:
             yield f"{prefix[:-1]}: {value}"
     for line in lines("", payload):
@@ -484,27 +478,11 @@ def main(argv=None):
         if args.max_n is None:
             args.max_n = limits_mod.PARTITION_ENUM_LIMIT
         result = COMMANDS[args.command](args)
-    except LimitExceeded as exc:
-        _emit({"schema": SCHEMA, "command": args.command,
-               "error": {"kind": "limit-exceeded", "message": str(exc)}},
+    except PartitionForgeError as exc:
+        error = {"kind": exc.kind, "message": str(exc), **exc.witness_payload()}
+        _emit({"schema": SCHEMA, "command": args.command, "error": error},
               fmt, sys.stdout)
-        return 4
-    except InternalError as exc:
-        _emit({"schema": SCHEMA, "command": args.command,
-               "error": {"kind": "internal", "message": str(exc)}},
-              fmt, sys.stdout)
-        return 5
-    except MathConditionError as exc:
-        payload = {"kind": exc.kind, "message": str(exc)}
-        payload.update(exc.witness_payload())
-        _emit({"schema": SCHEMA, "command": args.command, "error": payload},
-              fmt, sys.stdout)
-        return 2
-    except (ValidationError, PartitionForgeError) as exc:
-        _emit({"schema": SCHEMA, "command": args.command,
-               "error": {"kind": "validation", "message": str(exc)}},
-              fmt, sys.stdout)
-        return 3
+        return exc.exit_code
     payload = {"schema": SCHEMA, "command": args.command}
     payload.update(result)
     _emit(payload, fmt, sys.stdout)

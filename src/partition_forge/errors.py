@@ -1,30 +1,49 @@
 """Exception hierarchy.
 
-Four broad families, matching the CLI exit codes:
+Each class carries how the CLI reports it: ``kind`` names the error in
+the report, ``exit_code`` is the process exit code, and
+``witness_payload()`` gives the witness fields as JSON-compatible values.
+Four broad families:
 
-* ``ValidationError`` (exit 3) -- malformed inputs: bad files, bad
-  partitions, set functions whose declared properties do not hold.
+* ``ValidationError`` (kind ``validation``, exit 3) -- malformed inputs:
+  bad files, bad partitions, set functions whose declared properties do
+  not hold.
 * ``MathConditionError`` (exit 2) -- the input is well formed but fails a
   mathematical precondition (not partition-connected, a sufficient
-  condition is violated, ...).  These carry a machine-readable witness.
-* ``LimitExceeded`` (exit 4) -- an exhaustive search was refused because
-  the instance is above the configured desk-scale limit.
-* ``InternalError`` (exit 5) -- a result failed the re-verification of
-  its defining properties before being returned.  This signals a bug in
-  the package, never a property of the input.
+  condition is violated, ...).  Each subclass names its own kind and
+  carries a machine-readable witness.
+* ``LimitExceeded`` (kind ``limit-exceeded``, exit 4) -- an exhaustive
+  search was refused because the instance is above the configured
+  desk-scale limit.
+* ``InternalError`` (kind ``internal``, exit 5) -- a result failed the
+  re-verification of its defining properties before being returned.
+  This signals a bug in the package, never a property of the input.
 """
 
 
 class PartitionForgeError(Exception):
     """Base class for all errors raised by this package."""
 
+    kind = "validation"
+    exit_code = 3
+
+    def witness_payload(self):
+        """Witness data for reports, as JSON-compatible values."""
+        return {}
+
 
 class LimitExceeded(PartitionForgeError):
     """Instance exceeds a configured enumeration limit."""
 
+    kind = "limit-exceeded"
+    exit_code = 4
+
 
 class InternalError(PartitionForgeError):
     """A constructed result failed its own postcondition check."""
+
+    kind = "internal"
+    exit_code = 5
 
 
 class ValidationError(PartitionForgeError):
@@ -45,56 +64,46 @@ class FlagViolation(ValidationError):
 
 
 class MathConditionError(PartitionForgeError):
-    """A mathematical precondition failed; carries a witness."""
+    """A mathematical precondition failed; carries a witness: a violating
+    partition, a vertex set (mask), the clause that failed and a margin,
+    each of them optional."""
 
     kind = "condition-failed"
+    exit_code = 2
+
+    def __init__(self, message, partition=None, *, vertex_set=None, margin=None,
+                 clause=None):
+        super().__init__(message)
+        self.partition = partition
+        self.vertex_set = vertex_set
+        self.margin = margin
+        self.clause = clause
 
     def witness_payload(self):
-        """Witness data for reports, as JSON-compatible values."""
-        return {}
+        from .bits import bit_list
+
+        payload = {}
+        if self.clause is not None:
+            payload["clause"] = self.clause
+        if self.vertex_set is not None:
+            payload["vertex_set"] = bit_list(self.vertex_set)
+        if self.partition is not None:
+            payload["partition"] = self.partition.blocks_as_lists()
+        if self.margin is not None:
+            payload["margin"] = str(self.margin)
+        return payload
 
 
 class NotPartitionConnected(MathConditionError):
     kind = "not-partition-connected"
 
-    def __init__(self, message, partition=None):
-        super().__init__(message)
-        self.partition = partition
-
-    def witness_payload(self):
-        if self.partition is None:
-            return {}
-        return {"partition": self.partition.blocks_as_lists()}
-
 
 class NotArcConnected(MathConditionError):
     kind = "not-arc-connected"
 
-    def __init__(self, message, vertex_set=None):
-        super().__init__(message)
-        self.vertex_set = vertex_set
-
-    def witness_payload(self):
-        from .bits import bit_list
-
-        if self.vertex_set is None:
-            return {}
-        return {"vertex_set": bit_list(self.vertex_set)}
-
 
 class NotSparse(MathConditionError):
     kind = "not-sparse"
-
-    def __init__(self, message, vertex_set=None):
-        super().__init__(message)
-        self.vertex_set = vertex_set
-
-    def witness_payload(self):
-        from .bits import bit_list
-
-        if self.vertex_set is None:
-            return {}
-        return {"vertex_set": bit_list(self.vertex_set)}
 
 
 class Disconnected(MathConditionError):
@@ -114,42 +123,9 @@ class NoWitness(MathConditionError):
 class ConditionViolated(MathConditionError):
     kind = "condition-violated"
 
-    def __init__(self, message, vertex_set=None, margin=None):
-        super().__init__(message)
-        self.vertex_set = vertex_set
-        self.margin = margin
-
-    def witness_payload(self):
-        from .bits import bit_list
-
-        payload = {}
-        if self.vertex_set is not None:
-            payload["vertex_set"] = bit_list(self.vertex_set)
-        if self.margin is not None:
-            payload["margin"] = str(self.margin)
-        return payload
-
 
 class HypothesisViolated(MathConditionError):
     kind = "hypothesis-violated"
-
-    def __init__(self, message, clause=None, vertex_set=None, partition=None):
-        super().__init__(message)
-        self.clause = clause
-        self.vertex_set = vertex_set
-        self.partition = partition
-
-    def witness_payload(self):
-        from .bits import bit_list
-
-        payload = {}
-        if self.clause is not None:
-            payload["clause"] = self.clause
-        if self.vertex_set is not None:
-            payload["vertex_set"] = bit_list(self.vertex_set)
-        if self.partition is not None:
-            payload["partition"] = self.partition.blocks_as_lists()
-        return payload
 
 
 class Infeasible(MathConditionError):

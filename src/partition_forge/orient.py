@@ -13,7 +13,6 @@ from math import ceil, floor
 import numpy as np
 
 from . import _kernels
-from .bits import bit_count, bit_list
 from .errors import (
     ConditionViolated,
     InternalError,
@@ -30,7 +29,7 @@ from .hosts import (
     spanning_host,
 )
 from .limits import ORIENTATION_EDGE_LIMIT, check
-from .setfn import SetFunction, ensure_properties, rooted_shift, vertex_weights
+from .setfn import ensure_properties, fn_sum, rooted_shift, vertex_weights
 from .sparse import sparse_violation
 from .theta import _spans_pc, is_pc, pc_violation
 
@@ -149,17 +148,19 @@ def orient_decompose(graph, functions, u, roots=None, *, trust_flags=None):
     parts, part i l_i-arc-connected, where every out-degree stays at or
     below ceil(d(v)/2) and at the chosen vertex below floor(d(u)/2).
 
-    Requires the host to be 2*(l_1+...+l_m)-edge-connected.  With roots,
-    part i is instead r_i-rooted l_i-arc-connected (the shifted functions
-    drive the same construction).
+    Requires the host to be 2*(l_1+...+l_m)-edge-connected, and without
+    roots every l_i to vanish on the full vertex set.  With roots, part i
+    is instead r_i-rooted l_i-arc-connected (the shifted functions drive
+    the same construction).
     """
     from .decompose import decompose_pc
     from .extract import kl_edge_connected
-    from .setfn import fn_sum
 
     functions = list(functions)
     if not 0 <= u < graph.n:
         raise ValidationError("u out of range")
+    if roots is None and any(l.value(graph.full_mask) != 0 for l in functions):
+        raise ValidationError("l must vanish on the full vertex set")
     if functions:
         total = fn_sum(*functions)
         bad = kl_edge_connected(graph, total, 2)
@@ -228,37 +229,18 @@ def extract_bounded_via_orientation(graph, l, h, *, trust_flags=None):
     n = graph.n
     hvals = DegreeTarget.of(h, n).resolve(graph)
     degs = graph.degrees()
+    # Root all of l(V) at vertex 0, then raise each singleton demand by
+    # the degree that h(v) cuts off at v (l may be wider than the host).
+    arity = n if l.n is None else l.n
     lg = l.value(graph.full_mask)
-    ltab = l.table(n)
-    root_bit = 1
-
-    def shifted(mask):
-        if mask == 0:
-            return 0
-        return int(ltab[mask]) - (lg if mask & root_bit else 0)
-
-    ell = SetFunction(
-        shifted,
-        n=n,
-        flags=(
-            "intersecting-supermodular",
-            "nonnegative",
-            "element-nonincreasing",
-            "positively-intersecting-supermodular",
-        ),
-        name="root-shifted",
+    ell = rooted_shift(l, [lg if v == 0 else 0 for v in range(arity)]).with_flags(
+        "intersecting-supermodular",
+        "nonnegative",
+        "element-nonincreasing",
+        "positively-intersecting-supermodular",
     )
-
-    def boosted(mask):
-        if bit_count(mask) == 1:
-            v = bit_list(mask)[0]
-            return max(shifted(mask), degs[v] - hvals[v] + shifted(mask))
-        return shifted(mask)
-
-    ell_up = SetFunction(
-        boosted, n=n, flags=("intersecting-supermodular", "nonnegative"),
-        name="root-shifted-boosted",
-    )
+    cut = [max(0, degs[v] - hvals[v]) for v in range(n)]
+    ell_up = fn_sum(ell, vertex_weights(cut + [0] * (arity - n)))
     witness = pc_violation(graph, ell_up, trust_flags=True)
     if witness is not None:
         raise ConditionViolated(

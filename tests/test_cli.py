@@ -181,6 +181,9 @@ REPORT_FILES = {
     ("json", ["trim", "--hypergraph", "headed", "--setfn", "singletons", "--goal", "arc"],
      2, _error_line("trim", '{"kind":"not-arc-connected",'
                     '"message":"host is not l-arc-connected","vertex_set":[1]}')),
+    ("json", ["orient", "--graph", "k4d", "--setfn", "const1", "--u", "0"],
+     3, _error_line("orient", '{"kind":"validation",'
+                    '"message":"l must vanish on the full vertex set"}')),
     ("json", ["theta", "--graph", "single", "--setfn", "false-flag"],
      3, _error_line("theta", '{"kind":"validation","message":'
                     '"declared flags fail validation: [\'nonincreasing\']"}')),
@@ -201,7 +204,7 @@ REPORT_FILES = {
 ], ids=["check-pc", "check-pc-text", "orient", "condition-empty-set", "condition",
         "condition-text", "condition-no-margin", "hypothesis-set", "hypothesis-set-text",
         "hypothesis-partition", "not-sparse", "not-sparse-text", "not-arc-connected",
-        "flag-violation", "flag-violation-text", "limit", "limit-text", "internal",
+        "orient-u-demand-on-full-set", "flag-violation", "flag-violation-text", "limit", "limit-text", "internal",
         "internal-text"])
 def test_failed_condition_report_bytes(files, tmp_path, monkeypatch, fmt, argv, code,
                                        expected):

@@ -29,6 +29,7 @@ from partition_forge import (
     orient_arc_connected,
     orient_decompose,
     spanning_host,
+    table,
     trim_arc,
     trim_pc,
     trim_sparse,
@@ -155,6 +156,16 @@ def test_orient_decompose_precondition():
         orient_decompose(path, [SINGLETON_1], 0)
 
 
+def test_orient_decompose_refuses_demand_on_the_full_set_without_roots():
+    # K4 with every edge doubled is 6-edge-connected, so only l(V) = 1
+    # stands in the way; it is refused before any packing.
+    k4d = MultiGraph(4, complete_graph(4).edges * 2)
+    with pytest.raises(ValidationError, match="l must vanish on the full vertex set"):
+        orient_decompose(k4d, [constant(1)], 0)
+    orientation, parts = orient_decompose(k4d, [constant(1)], 0, roots=[(1, 0, 0, 0)])
+    assert len(parts) == 1
+
+
 def test_orientation_route_matches_direct_route(rng):
     # Both extraction routes must deliver connected spanning subgraphs
     # within the degree bounds whenever the stronger inside-edges
@@ -198,6 +209,14 @@ def test_orientation_route_rejects_unreachable_bounds():
     k4 = complete_graph(4)
     with pytest.raises(ConditionViolated):
         extract_bounded_via_orientation(k4, constant(1), DegreeTarget.uniform(2, 4))
+
+
+def test_orientation_route_reads_a_wider_function_on_the_host():
+    g = MultiGraph(3, [(0, 1), (1, 2), (2, 0), (0, 1)])
+    wide = table(4, {m: 1 for m in range(1, 16)}, flags=(
+        "nonincreasing", "intersecting-supermodular", "nonnegative"))
+    result = extract_bounded_via_orientation(g, wide, 3)
+    assert result.members == extract_bounded_via_orientation(g, constant(1), 3).members
 
 
 def test_trim_pc_examples():

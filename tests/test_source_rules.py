@@ -17,6 +17,10 @@
 * No loop of ``_kernels.assignment_best``, ``find_orientation`` or
   ``arc_violation`` walks the 2**k vertex sets one by one: they read
   whole tables (the edge-in-set matrix, the in-degree table).
+* Each error class's report ``kind`` and ``exit_code`` are set in
+  ``errors.py`` only, and ``cli.main`` reports every package error through
+  one ``except`` clause that returns ``exc.exit_code``, never a literal
+  2, 3, 4 or 5.
 """
 
 import ast
@@ -125,3 +129,58 @@ def test_kernel_has_no_per_mask_loop(name):
         if _walks_the_masks(loop)
     ]
     assert per_mask == [], f"{name} loops over the masks at lines {per_mask}"
+
+
+def _targets(stmt):
+    if isinstance(stmt, ast.Assign):
+        return stmt.targets
+    if isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        return [stmt.target]
+    return []
+
+
+def _assigned_attributes(tree):
+    """Names assigned in a class body or to an attribute (``x.name = ...``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                yield from (t.id for t in _targets(stmt) if isinstance(t, ast.Name))
+        yield from (t.attr for t in _targets(node) if isinstance(t, ast.Attribute))
+
+
+def _literal_kinds(tree):
+    """Line numbers of dict literals that spell out a ``"kind"`` string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if (isinstance(key, ast.Constant) and key.value == "kind"
+                        and isinstance(value, ast.Constant)):
+                    yield node.lineno
+
+
+def test_error_kinds_and_exit_codes_live_in_errors():
+    setters = {
+        p.name for p in FILES
+        if {"kind", "exit_code"} & set(_assigned_attributes(_tree(p)))
+        or any(_literal_kinds(_tree(p)))
+    }
+    assert setters == {"errors.py"}
+
+
+def test_cli_reports_package_errors_through_one_handler():
+    error_classes = {
+        node.name for node in ast.walk(_tree(SRC / "errors.py"))
+        if isinstance(node, ast.ClassDef)
+    }
+    main = _function(SRC / "cli.py", "main")
+    handlers = [
+        h for h in ast.walk(main)
+        if isinstance(h, ast.ExceptHandler) and error_classes & set(_names(h.type))
+    ]
+    assert [ast.unparse(h.type) for h in handlers] == ["PartitionForgeError"]
+    literal_codes = [
+        node.lineno for node in ast.walk(main)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+        and node.value.value in (2, 3, 4, 5)
+    ]
+    assert literal_codes == [], f"cli.main returns a literal exit code at {literal_codes}"
