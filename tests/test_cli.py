@@ -112,11 +112,10 @@ def _error_text(command, *fields):
         "schema: partition-forge/1"))
 
 
-K4_DOUBLED_DOC = {"type": "graph", "n": 4, "edges": K4_DOC["edges"] * 2}
 REPORT_FILES = {
     "single": {"type": "graph", "n": 2, "edges": [[0, 1]]},
     "cycle": {"type": "graph", "n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]},
-    "k4d": K4_DOUBLED_DOC,
+    "k4d": {"type": "graph", "n": 4, "edges": K4_DOC["edges"] * 2},
     "triple": {"type": "hypergraph", "n": 3, "hyperedges": [
         {"vertices": [0, 1, 2]}, {"vertices": [0, 1, 2]}, {"vertices": [0, 1, 2]},
         {"vertices": [0, 1]}]},
@@ -181,6 +180,7 @@ REPORT_FILES = {
     ("json", ["trim", "--hypergraph", "headed", "--setfn", "singletons", "--goal", "arc"],
      2, _error_line("trim", '{"kind":"not-arc-connected",'
                     '"message":"host is not l-arc-connected","vertex_set":[1]}')),
+    # Refused before any packing: without --roots, l(V) must be 0.
     ("json", ["orient", "--graph", "k4d", "--setfn", "const1", "--u", "0"],
      3, _error_line("orient", '{"kind":"validation",'
                     '"message":"l must vanish on the full vertex set"}')),
@@ -204,8 +204,8 @@ REPORT_FILES = {
 ], ids=["check-pc", "check-pc-text", "orient", "condition-empty-set", "condition",
         "condition-text", "condition-no-margin", "hypothesis-set", "hypothesis-set-text",
         "hypothesis-partition", "not-sparse", "not-sparse-text", "not-arc-connected",
-        "orient-u-demand-on-full-set", "flag-violation", "flag-violation-text", "limit", "limit-text", "internal",
-        "internal-text"])
+        "orient-u-demand-on-full-set", "flag-violation", "flag-violation-text", "limit",
+        "limit-text", "internal", "internal-text"])
 def test_failed_condition_report_bytes(files, tmp_path, monkeypatch, fmt, argv, code,
                                        expected):
     import partition_forge.decompose as decompose

@@ -175,7 +175,8 @@ def test_cli_reports_package_errors_through_one_handler():
     main = _function(SRC / "cli.py", "main")
     handlers = [
         h for h in ast.walk(main)
-        if isinstance(h, ast.ExceptHandler) and error_classes & set(_names(h.type))
+        if isinstance(h, ast.ExceptHandler) and h.type is not None
+        and error_classes & set(_names(h.type))
     ]
     assert [ast.unparse(h.type) for h in handlers] == ["PartitionForgeError"]
     literal_codes = [
