@@ -99,7 +99,7 @@ def arc_violation(k, head_vertices, arc_masks, ltab):
     return np.int64(short[0] + 1) if short.size else np.int64(-1)
 
 
-def assignment_best(k, edge_masks, slacks, cap):
+def assignment_best(k, edge_masks, slacks, cap, max_states=-1):
     """Assign each edge to one of m parts or leave it out, maximizing the
     number of assigned edges subject to every part staying sparse.
 
@@ -109,12 +109,14 @@ def assignment_best(k, edge_masks, slacks, cap):
     Each part keeps its room ``slack - counts``; an edge fits a part when
     its row of the bool edge-in-set matrix is nowhere above the room, and
     placing or lifting it is one row operation on that room.
-    Returns ``(best_count, assignment)`` with value m meaning unused.
+    Returns ``(best_count, assignment, states)`` with value m meaning
+    unused and ``states`` the search steps taken; with ``max_states >= 0``
+    the search stops at step ``max_states + 1``, unfinished.
     """
     ne = edge_masks.shape[0]
     m = slacks.shape[0]
     if ne == 0:
-        return np.int64(0), np.zeros(0, dtype=np.int64)
+        return np.int64(0), np.zeros(0, dtype=np.int64), np.int64(0)
     ems = edge_masks[:, None]
     inset = (np.arange(1 << k, dtype=np.int64) & ems) == ems
     rooms = slacks.astype(np.int64)
@@ -123,7 +125,11 @@ def assignment_best(k, edge_masks, slacks, cap):
     best_assign = [m] * ne
     assigned = 0
     pos = 0
+    states = 0
     while pos >= 0:
+        states += 1
+        if states > max_states >= 0:
+            break
         cur = assign[pos]
         row = inset[pos]
         if 0 <= cur < m:
@@ -150,7 +156,7 @@ def assignment_best(k, edge_masks, slacks, cap):
                     break
         else:
             pos += 1
-    return np.int64(best), np.array(best_assign, dtype=np.int64)
+    return np.int64(best), np.array(best_assign, dtype=np.int64), np.int64(states)
 
 
 def pair_violation(tab, k, mode):

@@ -36,6 +36,7 @@ from .errors import (
     FamilyNotMaximal,
     HypothesisViolated,
     InternalError,
+    LimitExceeded,
     NotPartitionConnected,
     ValidationError,
 )
@@ -97,13 +98,27 @@ def assignment_optimum(host, functions, *, cap=None):
     """Exhaustive oracle: assign every edge to a part or leave it unused,
     maximizing coverage subject to each part staying sparse.
 
-    Returns ``(best_coverage, SparseFamily)``.
+    Returns ``(best_coverage, SparseFamily)``; refused with
+    :class:`LimitExceeded` once the search passes ``ASSIGNMENT_ORACLE_STATES``
+    states.
     """
+    return _assignment_optimum(host, functions, cap, ASSIGNMENT_ORACLE_STATES)
+
+
+def _assignment_optimum(host, functions, cap, max_states):
+    """:func:`assignment_optimum` with a state budget, -1 for none."""
     m = len(functions)
     slacks = np.stack([l.slack_table(host.n) for l in functions])
     ems = _kernels.as_mask_array(host.edge_masks)
     cap_val = np.int64(-1 if cap is None else cap)
-    best, assign = _kernels.assignment_best(host.n, ems, slacks, cap_val)
+    best, assign, states = _kernels.assignment_best(
+        host.n, ems, slacks, cap_val, np.int64(max_states)
+    )
+    if states > max_states >= 0:
+        raise LimitExceeded(
+            f"assignment oracle states {states} exceeds limit "
+            f"ASSIGNMENT_ORACLE_STATES = {max_states}"
+        )
     parts = [
         EdgeSubset(host, [e for e in range(host.edge_count) if assign[e] == i])
         for i in range(m)
@@ -165,8 +180,9 @@ def max_sparse_family(host, functions, *, method="auto", trust_flags=None):
     """Family of edge-disjoint sparse parts covering as many edges as
     possible.
 
-    ``method="oracle"`` forces the exhaustive assignment search and
-    ``method="augment"`` runs greedy insertion plus augmenting paths.
+    ``method="oracle"`` forces the exhaustive assignment search (refused
+    past ``ASSIGNMENT_ORACLE_STATES`` states) and ``method="augment"``
+    runs greedy insertion plus augmenting paths.
     ``"auto"`` augments too, then hands the known optimum to the oracle
     when its state count is below a threshold, so small instances get the
     oracle's lexicographically first maximum family.
@@ -194,7 +210,7 @@ def max_sparse_family(host, functions, *, method="auto", trust_flags=None):
         while covered < cap and _augment(host, functions, owner, contains) is None:
             covered += 1
         if method == "auto" and (m + 1) ** host.edge_count <= ASSIGNMENT_ORACLE_STATES:
-            _, family = assignment_optimum(host, functions, cap=covered)
+            _, family = _assignment_optimum(host, functions, covered, -1)
             return family
     parts = [
         EdgeSubset(host, [e for e in range(host.edge_count) if owner[e] == i])

@@ -17,7 +17,8 @@ SUBSET_LIMIT = 16
 ORIENTATION_EDGE_LIMIT = 20
 # Property validation of a set function costs O(4**n).
 VALIDATE_LIMIT = 12
-# Exhaustive edge-assignment packing oracle engages below this state count.
+# States the exhaustive edge-assignment packing oracle may visit; the
+# automatic route hands off to it only below this many assignments.
 ASSIGNMENT_ORACLE_STATES = 250_000
 # Subgraph enumeration (minimum-theta extension, basis streams).
 EDGE_SEARCH_LIMIT = 24

@@ -168,6 +168,9 @@ def orient_decompose(graph, functions, u, roots=None, *, trust_flags=None):
             raise ConditionViolated(
                 "host is not 2*(sum l_i)-edge-connected", vertex_set=bad
             )
+    # The functions may be wider than the host: roots and balance weights
+    # are zero on the vertices beyond it.
+    arity = next((l.n for l in functions if l.n is not None), graph.n)
     if roots is not None:
         if len(roots) != len(functions):
             raise ValidationError("one root vector per function required")
@@ -175,7 +178,7 @@ def orient_decompose(graph, functions, u, roots=None, *, trust_flags=None):
         for l, r in zip(functions, roots):
             if sum(r) != l.value(graph.full_mask):
                 raise ValidationError("roots must sum to l(V)")
-            shifted.append(rooted_shift(l, r))
+            shifted.append(rooted_shift(l, list(r) + [0] * (arity - len(r))))
         functions = shifted
     degs = graph.degrees()
     lsum = [sum(l.value(1 << v) for l in functions) for v in range(graph.n)]
@@ -185,7 +188,7 @@ def orient_decompose(graph, functions, u, roots=None, *, trust_flags=None):
     ]
     if any(w < 0 for w in weights):
         raise ConditionViolated("a vertex degree is too small for the balance part")
-    balance = vertex_weights(weights)
+    balance = vertex_weights(weights + [0] * (arity - graph.n))
     dec = decompose_pc(graph, [balance] + functions, trust_flags=trust_flags)
     head_of = [None] * graph.edge_count
     parts = []

@@ -88,6 +88,9 @@ class SetFunction:
         # Optional NumPy builder of the whole table over 0..n-1; without
         # one, _tabulate evaluates the function once per mask.
         self._builder = None
+        # (a, b) when the function is vertex_bulk(a, b): theta reads the
+        # rank of the (a, b)-count matroid on graphs instead of a table.
+        self._pair = None
         self._tables = {}
         self._reports = {}
 
@@ -140,6 +143,7 @@ class SetFunction:
         )
         out._proven = self._proven
         out._builder = self._builder
+        out._pair = self._pair
         return out
 
     def __add__(self, other):
@@ -185,6 +189,7 @@ def vertex_bulk(vertex_value, bulk_value, name=None):
         flags.add("positively-intersecting-supermodular")
     out = SetFunction(fn, flags=flags, name=name or f"vertex_bulk({vv},{bb})")
     out._proven = out.flags
+    out._pair = (vv, bb)
 
     def build(n):
         sizes = _mask_sums(n, [1] * n)
@@ -301,6 +306,8 @@ def fn_sum(*fns):
     )
     out._proven = flags.intersection(*(f._proven for f in fns))
     out._builder = lambda n: sum(f.table(n) for f in fns)
+    if all(f._pair is not None for f in fns):
+        out._pair = tuple(map(sum, zip(*(f._pair for f in fns))))
     return out
 
 
@@ -317,6 +324,8 @@ def scale(beta, fn):
     )
     out._proven = fn._proven
     out._builder = lambda n: beta * fn.table(n)
+    if fn._pair is not None:
+        out._pair = (beta * fn._pair[0], beta * fn._pair[1])
     return out
 
 

@@ -15,6 +15,7 @@ from partition_forge import (
     Hypergraph,
     HypothesisViolated,
     InternalError,
+    LimitExceeded,
     MultiGraph,
     NotPartitionConnected,
     SparseFamily,
@@ -257,6 +258,26 @@ def test_oracle_family_prunes_branches_that_cannot_win():
     assert time.perf_counter() - start < 1.0
     assert fam.size() == max_sparse_family(g, [L1, L1], method="augment").size() == 10
     assert all(is_sparse(g, p.members, L1) for p in fam.parts)
+
+
+def test_oracle_refuses_past_its_state_budget(monkeypatch):
+    # K6 plus the same three parallel edges: the full search visits about
+    # 2.75 million states, so the oracle stops at its budget instead.
+    import partition_forge.decompose as decompose
+
+    g = MultiGraph(8, list(complete_graph(6).edges) + [(6, 7)] * 3)
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded, match="states 250001 exceeds limit "
+                       "ASSIGNMENT_ORACLE_STATES = 250000"):
+        max_sparse_family(g, [L1, L1], method="oracle")
+    assert time.perf_counter() - start < 3.0
+    # The K5 host of the test above needs 20229 states.
+    k5 = MultiGraph(7, list(complete_graph(5).edges) + [(5, 6)] * 3)
+    monkeypatch.setattr(decompose, "ASSIGNMENT_ORACLE_STATES", 20228)
+    with pytest.raises(LimitExceeded, match="states 20229 exceeds"):
+        assignment_optimum(k5, [L1, L1])
+    monkeypatch.setattr(decompose, "ASSIGNMENT_ORACLE_STATES", 20229)
+    assert assignment_optimum(k5, [L1, L1])[0] == 10
 
 
 @pytest.mark.parametrize("n", [6, 7])

@@ -244,7 +244,7 @@ def test_assignment_best_matches_product_scan(cases):
             used = sum(1 for q in assign if q < m)
             if used > best:
                 best, best_assign = used, list(assign)
-        got_best, got_assign = K.assignment_best(k, masks, slacks, np.int64(-1))
+        got_best, got_assign, _ = K.assignment_best(k, masks, slacks, np.int64(-1))
         assert int(got_best) == best
         assert [int(q) for q in got_assign] == best_assign
 
@@ -283,6 +283,6 @@ def test_empty_edge_sets():
     assert int(K.arc_violation(2, empty, empty, tab)) == -1
     assert int(K.find_orientation(2, empty, empty, tab)) == 0
     assert int(K.find_orientation(2, empty, empty, tab + 1)) == -1
-    best, assign = K.assignment_best(2, empty, np.zeros((1, 4), dtype=np.int64),
-                                     np.int64(-1))
+    best, assign, _ = K.assignment_best(2, empty, np.zeros((1, 4), dtype=np.int64),
+                                        np.int64(-1))
     assert int(best) == 0 and len(assign) == 0

@@ -124,6 +124,20 @@ def test_orient_decompose_doubled_cycle():
     assert arc_connectivity_violation(orientation, SINGLETON_1, parts[0].members) is None
 
 
+def test_orient_decompose_reads_a_function_wider_than_the_host():
+    # A 5-vertex table equal to vertex_bulk(1, 0) on the host's vertices
+    # acts as vertex_bulk(1, 0): the balance weights and the roots are
+    # zero beyond the host.
+    c4d = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)] * 2)
+    narrow = vertex_bulk(1, 0)
+    wide = table(5, {m: narrow.value(m) for m in range(32)}, flags=narrow.flags)
+    for roots in (None, [(0, 0, 0, 0)]):
+        orientation, parts = orient_decompose(c4d, [wide], 0, roots)
+        expected, expected_parts = orient_decompose(c4d, [narrow], 0, roots)
+        assert orientation.head_of == expected.head_of
+        assert parts == expected_parts
+
+
 def test_orient_decompose_rooted():
     c4d = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)] * 2)
     fn = constant(1)  # l(V) = 1, so roots must sum to 1

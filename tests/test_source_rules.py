@@ -17,6 +17,9 @@
 * No loop of ``_kernels.assignment_best``, ``find_orientation`` or
   ``arc_violation`` walks the 2**k vertex sets one by one: they read
   whole tables (the edge-in-set matrix, the in-degree table).
+* Nor does a loop of the pebble-game reader in ``theta.py``: it plays
+  over the edges, in O(n*m), and reads the 2**n sets only through one
+  NumPy inside-count table.
 * Each error class's report ``kind`` and ``exit_code`` are set in
   ``errors.py`` only, and ``cli.main`` reports every package error through
   one ``except`` clause that returns ``exc.exit_code``, never a literal
@@ -102,9 +105,17 @@ def test_packing_search_makes_no_reduction_call_per_edge(path, name):
     assert reductions == [], f"{path}:{name} reduces inside a loop at {reductions}"
 
 
+def _is_vertex_count(node):
+    """``k``, ``n`` or ``<host>.n``: the vertex count of a kernel or a host."""
+    return (
+        isinstance(node, ast.Name) and node.id in ("k", "n")
+        or isinstance(node, ast.Attribute) and node.attr == "n"
+    )
+
+
 def _walks_the_masks(loop):
-    """A ``for`` over a ``range`` bounded by ``nm`` or by a shift by ``k``,
-    the kernel's vertex count: one iteration per vertex set."""
+    """A ``for`` over a ``range`` bounded by ``nm`` or by a shift by the
+    vertex count: one iteration per vertex set."""
     return (
         isinstance(loop, ast.For)
         and isinstance(loop.iter, ast.Call)
@@ -112,22 +123,32 @@ def _walks_the_masks(loop):
         and any(
             isinstance(n, ast.Name) and n.id == "nm"
             or isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)
-            and isinstance(n.right, ast.Name) and n.right.id == "k"
+            and _is_vertex_count(n.right)
             for arg in loop.iter.args
             for n in ast.walk(arg)
         )
     )
 
 
+def _per_mask_loops(path, name):
+    return [
+        loop.lineno
+        for loop in ast.walk(_function(SRC / path, name))
+        if _walks_the_masks(loop)
+    ]
+
+
 @pytest.mark.parametrize("name", [
     "assignment_best", "find_orientation", "arc_violation",
 ])
 def test_kernel_has_no_per_mask_loop(name):
-    per_mask = [
-        loop.lineno
-        for loop in ast.walk(_function(SRC / "_kernels.py", name))
-        if _walks_the_masks(loop)
-    ]
+    per_mask = _per_mask_loops("_kernels.py", name)
+    assert per_mask == [], f"{name} loops over the masks at lines {per_mask}"
+
+
+@pytest.mark.parametrize("name", ["_rank", "_pebble", "_draw_pebble", "_certified"])
+def test_pebble_reader_has_no_per_mask_loop(name):
+    per_mask = _per_mask_loops("theta.py", name)
     assert per_mask == [], f"{name} loops over the masks at lines {per_mask}"
 
 

@@ -1,17 +1,22 @@
 """The connectivity measure: oracle agreement, components, bounds."""
 
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_forge import (
     Hypergraph,
     HypothesisViolated,
+    InternalError,
     MathConditionError,
     MultiGraph,
     boundary_count,
     check_tough_extract,
     constant,
+    fn_sum,
     hyper_bounded,
     induced_edge_count,
     induced_host,
@@ -22,6 +27,7 @@ from partition_forge import (
     scale,
     sigma,
     spanning_host,
+    table,
     theta,
     theta_oracle,
     theta_restricted,
@@ -29,6 +35,7 @@ from partition_forge import (
     vertex_bulk,
     vertex_weights,
 )
+from partition_forge import _kernels
 from partition_forge.theta import _spans_pc
 from conftest import (
     all_simple_graphs,
@@ -465,3 +472,93 @@ def test_high_connectivity_theta_bounds_hypergraph(rng):
             assert lhs <= rhs
             checked += 1
     assert checked > 50
+
+
+# ---------------------------------------------------------------------------
+# The rank reader: the pebble game on graphs with a vertex_bulk(a, b) demand.
+
+THETA = sys.modules["partition_forge.theta"]
+PAIRS = [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (2, 2), (3, 1), (3, 3)]
+
+
+def _five(host, fn):
+    """The answers of the five functions the rank reader serves."""
+    comp = pc_components(host, fn, trust_flags=True)
+    return (
+        theta_oracle(host, fn, trust_flags=True),
+        theta(host, fn, trust_flags=True),
+        is_pc(host, fn, trust_flags=True),
+        pc_violation(host, fn, trust_flags=True),
+        comp.partition,
+        comp.theta_value,
+    )
+
+
+def _as_table(fn, n):
+    """The same values as a table demand, which the reader does not take."""
+    return table(n, {m: fn.value(m) for m in range(1 << n)}, flags=fn.flags)
+
+
+@st.composite
+def gated_cases(draw):
+    n = draw(st.integers(0, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    edges = draw(st.lists(pair, max_size=3 * n)) if n >= 2 else []
+    terms = [vertex_bulk(a, b) for a, b in
+             draw(st.lists(st.sampled_from(PAIRS), min_size=1, max_size=2))]
+    fn = scale(draw(st.integers(1, 2)), fn_sum(*terms))
+    return MultiGraph(n, edges), fn
+
+
+@settings(max_examples=300, deadline=None)
+@given(gated_cases())
+def test_rank_reader_agrees_with_the_partition_table(case):
+    # Theta, the pc test, the violation witness (the table's maximizing
+    # partition) and the component blocks (the OR of the table's connected
+    # sets) equal the table route's on an equal table demand.
+    host, fn = case
+    assert _five(host, fn) == _five(host, _as_table(fn, host.n))
+
+
+def test_rank_reader_answers_without_the_partition_table(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("partition table built")
+
+    monkeypatch.setattr(_kernels, "partition_table", refuse)
+    tree_and_k4 = MultiGraph(6, list(K4.edges) + [(3, 4), (0, 4), (4, 5)])
+    rank2 = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
+    for host in (tree_and_k4, rank2, MultiGraph(3, [(0, 1)]), MultiGraph(0, [])):
+        for fn in (constant(1), vertex_bulk(2, 1), vertex_bulk(1, 0)):
+            _five(host, fn)
+    assert pc_violation(tree_and_k4, constant(2)).blocks_as_lists() == [
+        [0, 1, 2, 3, 4], [5]
+    ]
+    table_host = (tree_and_k4, _as_table(constant(1), 6))
+    weights = (tree_and_k4, vertex_weights([1, 0, 1, 0, 1, 0]))
+    hyper = (Hypergraph(3, [(0, 1, 2), (0, 1)]), constant(1))
+    for host, fn in (table_host, weights, hyper):
+        for call in (theta_oracle, theta, is_pc, pc_violation, pc_components):
+            with pytest.raises(RuntimeError, match="partition table built"):
+                call(host, fn, trust_flags=True)
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_rank_reader_refuses_a_wrong_pebble_game(monkeypatch, change):
+    # K4 plus a pendant vertex under constant(1): four accepted edges and
+    # three rejected ones; one edge more or fewer breaks the certificate.
+    host = MultiGraph(5, list(K4.edges) + [(3, 4)])
+    pebble = THETA._pebble
+
+    def wrong(n, edge_masks, a, b):
+        accepted, joined = pebble(n, edge_masks, a, b)
+        if change == "drop":
+            return accepted[:-1], joined
+        rejected = sorted(set(range(len(edge_masks))) - set(accepted))
+        return sorted(accepted + rejected[:1]), joined
+
+    monkeypatch.setattr(THETA, "_pebble", wrong)
+    for call in (theta_oracle, theta, is_pc, pc_violation, pc_components):
+        with pytest.raises(InternalError):
+            call(host, constant(1))
